@@ -333,10 +333,7 @@ type swPeer struct {
 	slow    bool
 	dir     string
 	ln      *gossip.Listener
-	commit  func(*block.Block) (peer.CommitResult, error)
-	close   func() error
-	ckpt    func() error // write a state checkpoint at the current height
-	store   statedb.KVS
+	node    committer
 	led     *ledger.Ledger
 	next    uint64 // first block the commit loop expects (recovered height)
 	started bool   // commitLoop launched (done will be closed)
@@ -581,7 +578,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if p.started {
 				<-p.done // commitLoop exits once the intake channel closes
 			}
-			p.close()
+			p.node.Close() // bmaclint:allow errdiscard (teardown: the run's result is already decided)
 		}
 	}()
 	// Per-peer state-database access counters, exported as scrape-time
@@ -591,7 +588,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		if reg == nil {
 			return
 		}
-		st := p.store
+		st := p.node.Store()
 		reg.GaugeFunc(telemetry.Name("statedb_reads_total", "peer", p.name),
 			func() int64 { r, _ := st.AccessCounts(); return int64(r) })
 		reg.GaugeFunc(telemetry.Name("statedb_writes_total", "peer", p.name),
@@ -635,7 +632,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	w := client.SmallbankWorkload{Accounts: opts.Accounts, Skew: opts.Skew}
 	stores := make([]statedb.KVS, 0, len(peers)+len(endorsers))
 	for _, p := range peers {
-		stores = append(stores, p.store)
+		stores = append(stores, p.node.Store())
 	}
 	for _, e := range endorsers {
 		stores = append(stores, e.Store())
@@ -644,7 +641,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		return nil, err
 	}
 	if bmacPeer != nil {
-		if err := client.BootstrapHardware(w, registry, peers[0].store, bmacPeer.Proc.DB()); err != nil {
+		if err := client.BootstrapHardware(w, registry, peers[0].node.Store(), bmacPeer.Proc.DB()); err != nil {
 			return nil, err
 		}
 	}
@@ -652,7 +649,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// so a peer restarted before its first periodic checkpoint must find
 	// it on disk.
 	for _, p := range peers {
-		if err := p.ckpt(); err != nil {
+		if err := p.node.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("cluster: genesis checkpoint for %s: %w", p.name, err)
 		}
 	}
@@ -960,7 +957,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 				<-cp.done // commit loop drains its intake, then exits
 			}
 			killHeight = cp.led.Height()
-			if err := cp.close(); err != nil {
+			if err := cp.node.Close(); err != nil {
 				return fmt.Errorf("cluster: churn kill %s: %w", cp.name, err)
 			}
 			// Bit-rot strikes while the peer is down: flip a byte in its
@@ -1311,7 +1308,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		pr.Delivery.CaughtUp = finalStats[p.name].CaughtUp
 		pr.Height = p.led.Height()
 		pr.Ledger = p.led.Stats()
-		pr.StateHash = hex.EncodeToString(statedb.SnapshotHash(p.store.Snapshot()))
+		pr.StateHash = hex.EncodeToString(statedb.SnapshotHash(p.node.Store().Snapshot()))
 		pr.CommitHash = hex.EncodeToString(p.led.LastCommitHash())
 		res.Peers = append(res.Peers, pr)
 	}
@@ -1505,12 +1502,33 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		dopts.CommitFault = df.Hook()
 		dopts.CheckpointFault = df.Hook()
 	}
-	switch opts.Mode {
+	node, led, err := openPeer(cfg, opts.Mode, dir, dopts)
+	if err != nil {
+		ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
+		return nil, err
+	}
+	p.node, p.led, p.next = node, led, node.Height()
+	return p, nil
+}
+
+// committer is the opened durable software peer behind a cluster peer: a
+// *peer.SWPeer or a *peer.ParallelPeer.
+type committer interface {
+	CommitBlock(*block.Block) (peer.CommitResult, error)
+	Checkpoint() error // write a state checkpoint at the current height
+	Height() uint64
+	Store() statedb.KVS
+	Close() error
+}
+
+// openPeer opens (recovering) the durable software peer of the given
+// validation path in dir, returning it with its ledger.
+func openPeer(cfg *config.Config, mode string, dir string, dopts peer.DurableOptions) (committer, *ledger.Ledger, error) {
+	switch mode {
 	case Sequential:
 		valCfg, err := cfg.ValidatorConfig(4)
 		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
+			return nil, nil, err
 		}
 		store := statedb.NewStore()
 		if cfg.StateDB.NoCountAccesses {
@@ -1518,18 +1536,12 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		}
 		sw, err := peer.NewDurableSWPeer(valCfg, store, dir, dopts)
 		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
+			return nil, nil, err
 		}
-		p.commit = sw.CommitBlock
-		p.close = sw.Close
-		p.ckpt = sw.Checkpoint
-		p.store = sw.Validator.Store()
-		p.led = sw.Ledger
-		p.next = sw.Height()
+		return sw, sw.Ledger, nil
 	case Pipelined, Hybrid:
 		mcfg := *cfg
-		if opts.Mode == Hybrid {
+		if mode == Hybrid {
 			mcfg.StateDB.Backend = config.BackendHybrid
 			mcfg.Pipeline.Prefetch = true
 		} else {
@@ -1537,30 +1549,19 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		}
 		pipeCfg, err := mcfg.PipelineConfig()
 		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
+			return nil, nil, err
 		}
 		kvs, err := mcfg.NewKVS()
 		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
+			return nil, nil, err
 		}
 		pp, err := peer.NewDurableParallelPeer(pipeCfg, kvs, dir, dopts)
 		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
+			return nil, nil, err
 		}
-		p.commit = pp.CommitBlock
-		p.close = pp.Close
-		p.ckpt = pp.Checkpoint
-		p.store = pp.Engine.Store()
-		p.led = pp.Ledger
-		p.next = pp.Height()
-	default:
-		ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
+		return pp, pp.Ledger, nil
 	}
-	return p, nil
+	return nil, nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", mode, Modes())
 }
 
 // commitLoop drains the peer's gossip intake, committing blocks in
@@ -1629,7 +1630,7 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 			continue
 		}
 		recvAt := time.Now()
-		res, err := p.commit(b)
+		res, err := p.node.CommitBlock(b)
 		if err != nil {
 			if rewind != nil && errors.Is(err, validator.ErrBlockInvalid) {
 				// The delivered block decoded but failed block-level

@@ -76,7 +76,18 @@ func TestReadRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestBroadcastToMultiplePeers(t *testing.T) {
+// dial opens a sender connection to l and closes it when the test ends.
+func dial(t *testing.T, l *Listener) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+func TestListenersReceiveFromSeparateSenders(t *testing.T) {
 	l1, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -88,18 +99,14 @@ func TestBroadcastToMultiplePeers(t *testing.T) {
 	}
 	defer l2.Close()
 
-	g := NewBroadcaster()
-	defer g.Close()
-	if err := g.AddPeer(l1.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddPeer(l2.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	b := makeBlock(t, 0, 3)
-	if err := g.Broadcast(b); err != nil {
-		t.Fatal(err)
+	data := block.Marshal(makeBlock(t, 0, 3))
+	var sent int64
+	for _, l := range []*Listener{l1, l2} {
+		n, err := WriteRaw(dial(t, l), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += int64(n)
 	}
 
 	for i, l := range []*Listener{l1, l2} {
@@ -108,11 +115,11 @@ func TestBroadcastToMultiplePeers(t *testing.T) {
 			t.Errorf("peer %d: block %d/%d envs", i, got.Header.Number, len(got.Envelopes))
 		}
 	}
-	if g.BytesSent() == 0 || l1.BytesReceived() == 0 {
+	if l1.BytesReceived() == 0 {
 		t.Error("byte counters not updated")
 	}
-	if g.BytesSent() != l1.BytesReceived()+l2.BytesReceived() {
-		t.Errorf("sent %d != received %d+%d", g.BytesSent(), l1.BytesReceived(), l2.BytesReceived())
+	if sent != l1.BytesReceived()+l2.BytesReceived() {
+		t.Errorf("sent %d != received %d+%d", sent, l1.BytesReceived(), l2.BytesReceived())
 	}
 }
 
@@ -122,13 +129,9 @@ func TestSequentialBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	g := NewBroadcaster()
-	defer g.Close()
-	if err := g.AddPeer(l.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	conn := dial(t, l)
 	for i := uint64(0); i < 5; i++ {
-		if err := g.Broadcast(makeBlock(t, i, 1)); err != nil {
+		if _, err := WriteBlock(conn, makeBlock(t, i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,50 +140,6 @@ func TestSequentialBlocks(t *testing.T) {
 		if got.Header.Number != i {
 			t.Errorf("block %d arrived out of order as %d", i, got.Header.Number)
 		}
-	}
-}
-
-// TestBroadcastContinuesPastFailedPeer is the regression for the
-// first-error abort: a dead peer early in the set must not leave later
-// peers unsent, the per-peer error must be reported, and the sent counter
-// must only count fully delivered frames.
-func TestBroadcastContinuesPastFailedPeer(t *testing.T) {
-	lBad, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lBad.Close()
-	lGood, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lGood.Close()
-
-	g := NewBroadcaster()
-	defer g.Close()
-	if err := g.AddPeer(lBad.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddPeer(lGood.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the first peer's connection from the client side so its write
-	// fails deterministically.
-	g.conns[0].Close()
-
-	b := makeBlock(t, 7, 2)
-	err = g.Broadcast(b)
-	if err == nil {
-		t.Fatal("broadcast reported no error despite a dead peer")
-	}
-
-	got := <-lGood.Blocks()
-	if got.Header.Number != 7 || len(got.Envelopes) != 2 {
-		t.Errorf("healthy peer got block %d/%d envs", got.Header.Number, len(got.Envelopes))
-	}
-	if g.BytesSent() != lGood.BytesReceived() {
-		t.Errorf("sent counter %d != healthy peer's %d (failed frames must not count)",
-			g.BytesSent(), lGood.BytesReceived())
 	}
 }
 

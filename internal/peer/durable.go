@@ -88,69 +88,55 @@ func (o DurableOptions) ledgerOptions() ledger.Options {
 // a restarted peer resumes from its last committed block; Height reports
 // where that is.
 func NewDurableSWPeer(cfg validator.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*SWPeer, error) {
-	led, err := ledger.Open(dir, opts.ledgerOptions())
+	led, err := open("sw", kvs, dir, cfg.ParseCache, opts)
 	if err != nil {
-		return nil, fmt.Errorf("sw peer ledger: %w", err)
-	}
-	if _, err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
-		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the open failure)
 		return nil, err
 	}
-	return &SWPeer{
-		Validator: validator.New(cfg, kvs, led),
-		Ledger:    led,
-		dir:       dir,
-		ckptEvery: opts.CheckpointEvery,
-		ckptKeep:  opts.KeepCheckpoints,
-		prune:     opts.Prune,
-		ckptFault: opts.CheckpointFault,
-	}, nil
+	v := validator.New(cfg, kvs, led)
+	return &SWPeer{Validator: v, swCore: swCore{Ledger: led, eng: v, dir: dir, opts: opts}}, nil
 }
 
 // NewDurableParallelPeer opens (or reopens) a parallel pipelined peer in
 // dir over the given state-database backend, with the same recovery
 // semantics as NewDurableSWPeer.
 func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*ParallelPeer, error) {
+	led, err := open("parallel", kvs, dir, cfg.ParseCache, opts)
+	if err != nil {
+		return nil, err
+	}
+	e := pipeline.New(cfg, kvs, led)
+	return &ParallelPeer{Engine: e, swCore: swCore{Ledger: led, eng: e, dir: dir, opts: opts}}, nil
+}
+
+// open opens the ledger in dir and recovers kvs from it, for both durable
+// constructors. kind names the peer in the ledger-open error.
+func open(kind string, kvs statedb.KVS, dir string, pc *validator.ParseCache, opts DurableOptions) (*ledger.Ledger, error) {
 	led, err := ledger.Open(dir, opts.ledgerOptions())
 	if err != nil {
-		return nil, fmt.Errorf("parallel peer ledger: %w", err)
+		return nil, fmt.Errorf("%s peer ledger: %w", kind, err)
 	}
-	if _, err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
+	if err := recoverState(kvs, led, dir, pc, opts); err != nil {
 		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the recovery failure)
 		return nil, err
 	}
-	return &ParallelPeer{
-		Engine:    pipeline.New(cfg, kvs, led),
-		Ledger:    led,
-		dir:       dir,
-		ckptEvery: opts.CheckpointEvery,
-		ckptKeep:  opts.KeepCheckpoints,
-		prune:     opts.Prune,
-		ckptFault: opts.CheckpointFault,
-	}, nil
+	return led, nil
 }
 
-// RecoverState rebuilds a peer's state database from dir: the newest
+// recoverState rebuilds a peer's state database from dir: the newest
 // usable checkpoint generation seeds kvs with the state as of its recorded
 // height, and the ledger blocks past that height are replayed by applying
-// the write sets their recorded validation flags admitted. Returns the
-// recovered height — the next block number the peer expects. kvs must be
-// empty.
+// the write sets their recorded validation flags admitted. Afterwards the
+// ledger height is the next block number the peer expects. kvs must be
+// empty. The optional parse-once cache lets a replay in a process whose
+// live paths share the cache both reuse their work and pre-warm it for the
+// blocks still to come; the durable options steer candidate selection.
 //
 // A checkpoint that fails to load falls back to an older generation. When
 // every candidate is unusable *because it is ahead of the ledger*, that is
 // an error rather than a silent full replay: the ledger alone cannot
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints).
-func RecoverState(kvs statedb.KVS, led *ledger.Ledger, dir string) (uint64, error) {
-	return recoverState(kvs, led, dir, nil, DurableOptions{})
-}
-
-// recoverState is RecoverState with an optional parse-once cache (a replay
-// in a process whose live paths share the cache both reuses their work and
-// pre-warms it for the blocks still to come) and the durable options that
-// steer candidate selection.
-func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) (uint64, error) {
+func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
 	refs, notes := statedb.Checkpoints(dir, CheckpointFile)
 	for _, n := range notes {
 		log.Printf("peer: %s: %s", dir, n)
@@ -195,7 +181,7 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 		break
 	}
 	if !restored && aheadErr != nil {
-		return 0, aheadErr
+		return aheadErr
 	}
 
 	// A quarantined range at or above the chosen checkpoint cannot be
@@ -205,7 +191,7 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 	for _, r := range led.MissingRanges() {
 		if r.First >= start {
 			if err := led.TruncateFrom(r.First); err != nil {
-				return 0, fmt.Errorf("peer: truncate at quarantined range [%d,%d): %w", r.First, r.First+r.Count, err)
+				return fmt.Errorf("peer: truncate at quarantined range [%d,%d): %w", r.First, r.First+r.Count, err)
 			}
 			break
 		}
@@ -214,13 +200,13 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 	for n := start; n < led.Height(); n++ {
 		b, err := led.Get(n)
 		if err != nil {
-			return 0, fmt.Errorf("peer: recovery replay block %d: %w", n, err)
+			return fmt.Errorf("peer: recovery replay block %d: %w", n, err)
 		}
 		if err := replayBlock(kvs, b, pc); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return led.Height(), nil
+	return nil
 }
 
 // replayBlock re-derives the state effects of one committed block: the
@@ -244,56 +230,25 @@ func replayBlock(kvs statedb.KVS, b *block.Block, pc *validator.ParseCache) erro
 
 // Height reports the peer's ledger height — the next block number it
 // expects to commit (equal to the recovered height right after a restart).
-func (p *SWPeer) Height() uint64 { return p.Ledger.Height() }
+func (c *swCore) Height() uint64 { return c.Ledger.Height() }
 
-// Height reports the peer's ledger height — the next block number it
-// expects to commit (equal to the recovered height right after a restart).
-func (p *ParallelPeer) Height() uint64 { return p.Ledger.Height() }
-
-// checkpointAndMaybePrune writes a manifest-managed checkpoint generation
-// at the current ledger height and, when pruning is on, prunes ledger
+// Checkpoint writes a state checkpoint generation at the current ledger
+// height (atomic rename; previous generations survive a crash mid-write)
+// and applies the prune policy: with pruning on, it prunes the ledger
 // segments covered by *every* retained generation — pruning to the newest
-// would strand the older generations' replay ranges.
-func checkpointAndMaybePrune(dir string, kvs statedb.KVS, led *ledger.Ledger, keep int, prune bool, fault func() error) error {
-	h := led.Height()
-	refs, err := statedb.WriteManagedCheckpoint(dir, kvs, h, keep, fault)
+// would strand the older generations' replay ranges. Call it after
+// bootstrap to capture genesis state that no ledger block carries.
+func (c *swCore) Checkpoint() error {
+	refs, err := statedb.WriteManagedCheckpoint(c.dir, c.Store(), c.Ledger.Height(), c.opts.KeepCheckpoints, c.opts.CheckpointFault)
 	if err != nil {
 		return err
 	}
-	if !prune || len(refs) == 0 {
+	if !c.opts.Prune || len(refs) == 0 {
 		return nil
 	}
 	covered := refs[len(refs)-1].Height // oldest retained generation
-	if _, err := led.Prune(covered); err != nil {
+	if _, err := c.Ledger.Prune(covered); err != nil {
 		return fmt.Errorf("peer: prune to %d after checkpoint: %w", covered, err)
-	}
-	return nil
-}
-
-// Checkpoint writes a state checkpoint generation at the current ledger
-// height (atomic rename; previous generations survive a crash mid-write)
-// and applies the prune policy. Call it after bootstrap to capture genesis
-// state that no ledger block carries.
-func (p *SWPeer) Checkpoint() error {
-	return checkpointAndMaybePrune(p.dir, p.Validator.Store(), p.Ledger, p.ckptKeep, p.prune, p.ckptFault)
-}
-
-// Checkpoint writes a state checkpoint generation at the current ledger
-// height (atomic rename; previous generations survive a crash mid-write)
-// and applies the prune policy. Call it after bootstrap to capture genesis
-// state that no ledger block carries.
-func (p *ParallelPeer) Checkpoint() error {
-	return checkpointAndMaybePrune(p.dir, p.Engine.Store(), p.Ledger, p.ckptKeep, p.prune, p.ckptFault)
-}
-
-// maybeCheckpoint runs the periodic checkpoint policy after a successful
-// commit of blockNum.
-func maybeCheckpoint(every int, blockNum uint64, ckpt func() error) error {
-	if every <= 0 || (blockNum+1)%uint64(every) != 0 {
-		return nil
-	}
-	if err := ckpt(); err != nil {
-		return fmt.Errorf("peer: checkpoint after block %d: %w", blockNum, err)
 	}
 	return nil
 }

@@ -102,14 +102,14 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	blocks := f.chain(t, 6)
 	cfg := validator.Config{Workers: 2, Policies: f.pols}
 
-	refPeer, err := NewSWPeer(cfg, t.TempDir())
+	refPeer, err := NewDurableSWPeer(cfg, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer refPeer.Close()
 
 	dir := t.TempDir()
-	p, err := NewSWPeer(cfg, dir)
+	p, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	}
 
 	// Restart: ledger replay only (no checkpoint was ever written).
-	p2, err := NewSWPeer(cfg, dir)
+	p2, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +171,6 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 5)
 
-	type build func(dir string, every int) (commit func(*block.Block) (CommitResult, error),
-		snap func() map[string]statedb.VersionedValue, height func() uint64, close func() error, err error)
-
 	kvsFor := func(backend string) statedb.KVS {
 		switch backend {
 		case "sharded":
@@ -184,48 +181,38 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 			return statedb.NewStore()
 		}
 	}
-	builders := map[string]func(backend string) build{
-		"sw": func(backend string) build {
-			return func(dir string, every int) (func(*block.Block) (CommitResult, error),
-				func() map[string]statedb.VersionedValue, func() uint64, func() error, error) {
-				p, err := NewDurableSWPeer(validator.Config{Workers: 2, Policies: f.pols},
-					kvsFor(backend), dir, DurableOptions{CheckpointEvery: every})
-				if err != nil {
-					return nil, nil, nil, nil, err
-				}
-				return p.CommitBlock, func() map[string]statedb.VersionedValue { return p.Validator.Store().Snapshot() },
-					p.Height, p.Close, nil
-			}
+	// Both software peers serve this through their shared commit core.
+	type durablePeer interface {
+		CommitBlock(*block.Block) (CommitResult, error)
+		Store() statedb.KVS
+		Height() uint64
+		Close() error
+	}
+	opts := DurableOptions{CheckpointEvery: 2}
+	builders := map[string]func(kvs statedb.KVS, dir string) (durablePeer, error){
+		"sw": func(kvs statedb.KVS, dir string) (durablePeer, error) {
+			return NewDurableSWPeer(validator.Config{Workers: 2, Policies: f.pols}, kvs, dir, opts)
 		},
-		"parallel": func(backend string) build {
-			return func(dir string, every int) (func(*block.Block) (CommitResult, error),
-				func() map[string]statedb.VersionedValue, func() uint64, func() error, error) {
-				p, err := NewDurableParallelPeer(pipeline.Config{Workers: 2, Policies: f.pols},
-					kvsFor(backend), dir, DurableOptions{CheckpointEvery: every})
-				if err != nil {
-					return nil, nil, nil, nil, err
-				}
-				return p.CommitBlock, func() map[string]statedb.VersionedValue { return p.Engine.Store().Snapshot() },
-					p.Height, p.Close, nil
-			}
+		"parallel": func(kvs statedb.KVS, dir string) (durablePeer, error) {
+			return NewDurableParallelPeer(pipeline.Config{Workers: 2, Policies: f.pols}, kvs, dir, opts)
 		},
 	}
 
-	for engine, mk := range builders {
+	for engine, openPeer := range builders {
 		for _, backend := range []string{"memory", "sharded", "hybrid"} {
 			t.Run(engine+"/"+backend, func(t *testing.T) {
 				dir := t.TempDir()
-				commit, snap, _, closeFn, err := mk(backend)(dir, 2)
+				p, err := openPeer(kvsFor(backend), dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, b := range blocks {
-					if _, err := commit(b); err != nil {
+					if _, err := p.CommitBlock(b); err != nil {
 						t.Fatal(err)
 					}
 				}
-				want := statedb.SnapshotHash(snap())
-				if err := closeFn(); err != nil {
+				want := statedb.SnapshotHash(p.Store().Snapshot())
+				if err := p.Close(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -243,18 +230,17 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 					t.Errorf("checkpoint height = %d, want 4 (after block 3)", h)
 				}
 
-				commit2, snap2, height2, closeFn2, err := mk(backend)(dir, 2)
+				p2, err := openPeer(kvsFor(backend), dir)
 				if err != nil {
 					t.Fatalf("restart: %v", err)
 				}
-				defer closeFn2()
-				if height2() != 5 {
-					t.Fatalf("recovered height = %d, want 5", height2())
+				defer p2.Close()
+				if p2.Height() != 5 {
+					t.Fatalf("recovered height = %d, want 5", p2.Height())
 				}
-				if got := statedb.SnapshotHash(snap2()); !bytes.Equal(got, want) {
+				if got := statedb.SnapshotHash(p2.Store().Snapshot()); !bytes.Equal(got, want) {
 					t.Fatal("checkpoint + suffix replay diverges from live state")
 				}
-				_ = commit2
 			})
 		}
 	}
@@ -283,7 +269,7 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSWPeer(validator.Config{Workers: 1, Policies: f.pols}, dir); err == nil {
+	if _, err := NewDurableSWPeer(validator.Config{Workers: 1, Policies: f.pols}, statedb.NewStore(), dir, DurableOptions{}); err == nil {
 		t.Fatal("checkpoint ahead of ledger accepted")
 	}
 }

@@ -15,6 +15,11 @@
 //     validation of block n+1 overlaps with the CPU's ledger commit of
 //     block n (paper §3.1).
 //
+// The two software peers embed one commit core (ledger, checkpoint policy,
+// CommitBlock, Height, Checkpoint, Store) and hand their engine the block
+// exactly as gossip.ReadBlock decoded it: each received block is decoded
+// once and never re-encoded, and the caller's block is never written.
+//
 // The software peers are durable: every validated block is appended to the
 // disk ledger before its result is reported, reopening a peer directory
 // replays the ledger (on top of the newest state checkpoint) so a
@@ -50,39 +55,59 @@ type CommitResult struct {
 	Breakdown validator.Breakdown
 }
 
-// SWPeer is a software-only validator peer.
-type SWPeer struct {
-	Validator *validator.Validator
-	Ledger    *ledger.Ledger
-
-	dir       string
-	ckptEvery int
-	ckptKeep  int          // checkpoint generations retained (0 = statedb default)
-	prune     bool         // prune checkpoint-covered ledger segments
-	ckptFault func() error // fault-injection hook for checkpoint writes
+// engine is the validation engine a software peer drives: the sequential
+// validator or the pipelined engine, each validating an already-decoded
+// block without writing it.
+type engine interface {
+	ValidateAndCommitBlock(*block.Block) (*validator.Result, error)
+	Store() statedb.KVS
 }
 
-// NewSWPeer creates a software peer with an in-memory state database and a
-// ledger in dir. Reopening an existing dir recovers: the ledger is
-// replayed (on top of any checkpoint) so the peer resumes at its previous
-// height. See NewDurableSWPeer to choose the backend and checkpoint
-// cadence.
-func NewSWPeer(cfg validator.Config, dir string) (*SWPeer, error) {
-	return NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{})
+// swCore is the commit path both software peers share: it owns the ledger
+// and the checkpoint policy and hands each received block, as decoded, to
+// the engine.
+type swCore struct {
+	Ledger *ledger.Ledger
+
+	eng  engine
+	dir  string
+	opts DurableOptions // checkpoint cadence, retention, prune and fault hook
+}
+
+// SWPeer is a software-only validator peer. Its Ledger field and its
+// CommitBlock, Height, Checkpoint, Store and Close methods come from the
+// commit core it shares with ParallelPeer.
+type SWPeer struct {
+	Validator *validator.Validator
+	swCore
+}
+
+// ParallelPeer is a software validator peer backed by the parallel
+// pipelined commit engine. Like SWPeer, it takes its Ledger field and its
+// commit methods from the shared commit core; Close also drains the
+// engine.
+type ParallelPeer struct {
+	Engine *pipeline.Engine
+	swCore
 }
 
 // CommitBlock validates and commits one received block (the gossip path
-// hands blocks here in order). When a checkpoint cadence is configured,
-// the block's commit may be followed by a state checkpoint; a checkpoint
-// failure is returned even though the block itself committed, because the
-// peer's durability contract is broken.
-func (p *SWPeer) CommitBlock(b *block.Block) (CommitResult, error) {
-	res, err := p.Validator.ValidateAndCommit(block.Marshal(b))
+// hands blocks here in order, decoded once by gossip.ReadBlock). b itself
+// is never written. When a checkpoint cadence is configured, the block's
+// commit may be followed by a state checkpoint; a checkpoint failure is
+// returned even though the block itself committed, because the peer's
+// durability contract is broken. The pipelined engine still parallelizes
+// the stages within the block; the periodic checkpoint policy only runs on
+// this synchronous path.
+func (c *swCore) CommitBlock(b *block.Block) (CommitResult, error) {
+	res, err := c.eng.ValidateAndCommitBlock(b)
 	if err != nil {
 		return CommitResult{}, err
 	}
-	if err := maybeCheckpoint(p.ckptEvery, res.BlockNum, p.Checkpoint); err != nil {
-		return CommitResult{}, err
+	if every := c.opts.CheckpointEvery; every > 0 && (res.BlockNum+1)%uint64(every) == 0 {
+		if err := c.Checkpoint(); err != nil {
+			return CommitResult{}, fmt.Errorf("peer: checkpoint after block %d: %w", res.BlockNum, err)
+		}
 	}
 	return CommitResult{
 		BlockNum:   res.BlockNum,
@@ -92,64 +117,17 @@ func (p *SWPeer) CommitBlock(b *block.Block) (CommitResult, error) {
 		Breakdown:  res.Breakdown,
 	}, nil
 }
+
+// Store returns the peer's state database.
+func (c *swCore) Store() statedb.KVS { return c.eng.Store() }
 
 // Close releases the ledger.
-func (p *SWPeer) Close() error { return p.Ledger.Close() }
-
-// ParallelPeer is a software validator peer backed by the parallel
-// pipelined commit engine.
-type ParallelPeer struct {
-	Engine *pipeline.Engine
-	Ledger *ledger.Ledger
-
-	dir       string
-	ckptEvery int
-	ckptKeep  int          // checkpoint generations retained (0 = statedb default)
-	prune     bool         // prune checkpoint-covered ledger segments
-	ckptFault func() error // fault-injection hook for checkpoint writes
-}
-
-// NewParallelPeer creates a parallel peer with an in-memory state database
-// and a ledger in dir. Reopening an existing dir recovers, as with
-// NewSWPeer.
-func NewParallelPeer(cfg pipeline.Config, dir string) (*ParallelPeer, error) {
-	return NewParallelPeerKVS(cfg, statedb.NewStore(), dir)
-}
-
-// NewParallelPeerKVS creates a parallel peer over the given state-database
-// backend (plain, sharded or hybrid hardware/host) and a ledger in dir.
-// Reopening an existing dir recovers: the ledger is replayed (on top of
-// any checkpoint) into kvs, which must be empty. See NewDurableParallelPeer
-// to also set the checkpoint cadence.
-func NewParallelPeerKVS(cfg pipeline.Config, kvs statedb.KVS, dir string) (*ParallelPeer, error) {
-	return NewDurableParallelPeer(cfg, kvs, dir, DurableOptions{})
-}
-
-// CommitBlock validates and commits one received block. The engine still
-// parallelizes the stages internally; use Submit/Results on the Engine
-// directly for inter-block pipelining (the periodic checkpoint policy only
-// runs on this synchronous path).
-func (p *ParallelPeer) CommitBlock(b *block.Block) (CommitResult, error) {
-	res, err := p.Engine.ValidateAndCommit(block.Marshal(b))
-	if err != nil {
-		return CommitResult{}, err
-	}
-	if err := maybeCheckpoint(p.ckptEvery, res.BlockNum, p.Checkpoint); err != nil {
-		return CommitResult{}, err
-	}
-	return CommitResult{
-		BlockNum:   res.BlockNum,
-		BlockValid: res.BlockValid,
-		Flags:      res.Flags,
-		CommitHash: res.CommitHash,
-		Breakdown:  res.Breakdown,
-	}, nil
-}
+func (c *swCore) Close() error { return c.Ledger.Close() }
 
 // Close drains the engine and releases the ledger.
 func (p *ParallelPeer) Close() error {
 	p.Engine.Close()
-	return p.Ledger.Close()
+	return p.swCore.Close()
 }
 
 // BMacPeer is the hardware-accelerated validator peer.

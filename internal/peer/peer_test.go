@@ -2,6 +2,8 @@ package peer
 
 import (
 	"bytes"
+	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"bmac/internal/core"
 	"bmac/internal/gossip"
 	"bmac/internal/identity"
+	"bmac/internal/ledger"
 	"bmac/internal/orderer"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
@@ -26,34 +29,34 @@ import (
 // valid/invalid flags and the commit hash must match between the peers.
 func TestEndToEndNetworkEquivalence(t *testing.T) {
 	// --- identities ---
-	net := identity.NewNetwork()
+	network := identity.NewNetwork()
 	for _, org := range []string{"Org1", "Org2"} {
-		if _, err := net.AddOrg(org); err != nil {
+		if _, err := network.AddOrg(org); err != nil {
 			t.Fatal(err)
 		}
 	}
-	client, err := net.NewIdentity("Org1", identity.RoleClient)
+	client, err := network.NewIdentity("Org1", identity.RoleClient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordID, err := net.NewIdentity("Org1", identity.RoleOrderer)
+	ordID, err := network.NewIdentity("Org1", identity.RoleOrderer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := net.NewIdentity("Org1", identity.RolePeer)
+	p1, err := network.NewIdentity("Org1", identity.RolePeer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := net.NewIdentity("Org2", identity.RolePeer)
+	p2, err := network.NewIdentity("Org2", identity.RolePeer)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// --- peers ---
-	swPeer, err := NewSWPeer(validator.Config{
+	swPeer, err := NewDurableSWPeer(validator.Config{
 		Workers:  4,
 		Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
-	}, t.TempDir())
+	}, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +86,18 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 	defer udp.Close()
 
-	broadcaster := gossip.NewBroadcaster()
-	defer broadcaster.Close()
-	if err := broadcaster.AddPeer(swListener.Addr()); err != nil {
+	gossipConn, err := net.Dial("tcp", swListener.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer gossipConn.Close()
 	sink, err := bmacproto.DialUDP(udp.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
 	bmacSender := bmacproto.NewSender(identity.NewCache(), sink)
-	if err := bmacSender.RegisterNetwork(net); err != nil {
+	if err := bmacSender.RegisterNetwork(network); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +115,8 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 		if _, err := bmacSender.SendBlock(b); err != nil {
 			return err
 		}
-		return broadcaster.Broadcast(b)
+		_, err := gossip.WriteBlock(gossipConn, b)
+		return err
 	})
 
 	// --- submit transactions (some deliberately invalid) ---
@@ -327,10 +331,10 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 	client, _ := net.NewIdentity("Org1", identity.RoleClient)
 	ordID, _ := net.NewIdentity("Org1", identity.RoleOrderer)
 
-	swPeer, err := NewSWPeer(validator.Config{
+	swPeer, err := NewDurableSWPeer(validator.Config{
 		Workers:  2,
 		Policies: map[string]*policy.Policy{"cc": policytest.MustParse("1of1")},
-	}, t.TempDir())
+	}, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +357,9 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 // TestParallelPeerMatchesSWPeer commits the same blocks through an SWPeer
 // and a ParallelPeer and requires identical flags, commit hashes and
 // ledger heights — the three-way cross-check the Testbed performs, in
-// miniature.
+// miniature. Both peers validate the caller's decoded block without
+// writing it, and their verdicts must equal a reference validator's that
+// decodes its own marshaled copy of every block.
 func TestParallelPeerMatchesSWPeer(t *testing.T) {
 	net := identity.NewNetwork()
 	if _, err := net.AddOrg("Org1"); err != nil {
@@ -364,16 +370,24 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 	endorser, _ := net.NewIdentity("Org1", identity.RolePeer)
 	pols := map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}
 
-	swPeer, err := NewSWPeer(validator.Config{Workers: 2, Policies: pols}, t.TempDir())
+	swPeer, err := NewDurableSWPeer(validator.Config{Workers: 2, Policies: pols},
+		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer swPeer.Close()
-	parPeer, err := NewParallelPeer(pipeline.Config{Workers: 4, Policies: pols}, t.TempDir())
+	parPeer, err := NewDurableParallelPeer(pipeline.Config{Workers: 4, Policies: pols},
+		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer parPeer.Close()
+	refLedger, err := ledger.Open(filepath.Join(t.TempDir(), "ref"), ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refLedger.Close()
+	ref := validator.New(validator.Config{Workers: 1, Policies: pols}, statedb.NewStore(), refLedger)
 
 	var prevHash []byte
 	for n := uint64(0); n < 3; n++ {
@@ -403,6 +417,8 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		prevHash = block.HeaderHash(&b.Header)
+		recvFlags := bytes.Clone(b.Metadata.ValidationFlags)
+		recvHash := bytes.Clone(b.Metadata.CommitHash)
 		swRes, err := swPeer.CommitBlock(b)
 		if err != nil {
 			t.Fatal(err)
@@ -411,18 +427,27 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !block.FlagsEqual(swRes.Flags, parRes.Flags) {
-			t.Fatalf("block %d: flags diverge: sw %v par %v", n, swRes.Flags, parRes.Flags)
+		if !bytes.Equal(b.Metadata.ValidationFlags, recvFlags) || !bytes.Equal(b.Metadata.CommitHash, recvHash) {
+			t.Fatalf("block %d: CommitBlock wrote the caller's block metadata", n)
 		}
-		if !bytes.Equal(swRes.CommitHash, parRes.CommitHash) {
-			t.Fatalf("block %d: commit hash diverges", n)
+		refRes, err := ref.ValidateAndCommit(block.Marshal(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]CommitResult{"sw": swRes, "par": parRes} {
+			if !block.FlagsEqual(res.Flags, refRes.Flags) {
+				t.Fatalf("block %d: %s flags %v, reference %v", n, name, res.Flags, refRes.Flags)
+			}
+			if !bytes.Equal(res.CommitHash, refRes.CommitHash) {
+				t.Fatalf("block %d: %s commit hash diverges from the reference", n, name)
+			}
 		}
 	}
 	if swPeer.Ledger.Height() != parPeer.Ledger.Height() {
 		t.Error("ledger heights diverge")
 	}
 	if !statedb.SnapshotsEqual(
-		swPeer.Validator.Store().Snapshot(), parPeer.Engine.Store().Snapshot()) {
+		swPeer.Store().Snapshot(), parPeer.Store().Snapshot()) {
 		t.Error("state diverged")
 	}
 }

@@ -74,7 +74,9 @@ type Outcome struct {
 	Err error
 }
 
-// job carries one block through the stage pipeline.
+// job carries one block through the stage pipeline. A job submitted as raw
+// bytes is decoded by the parse stage; one submitted as a block carries b
+// from the start.
 type job struct {
 	raw   []byte
 	start time.Time
@@ -102,7 +104,8 @@ type job struct {
 // warm-up readers hide a slow backend's read latency under vscc.
 //
 // Blocks must be submitted in increasing header-number order by a single
-// goroutine (or via the synchronous ValidateAndCommit).
+// goroutine (or via the synchronous ValidateAndCommit and
+// ValidateAndCommitBlock).
 type Engine struct {
 	cfg   Config
 	cache *MVCache
@@ -183,6 +186,17 @@ func (e *Engine) ValidateAndCommit(raw []byte) (*Result, error) {
 	return o.Res, o.Err
 }
 
+// ValidateAndCommitBlock is ValidateAndCommit for an already-decoded block,
+// with the same contract as validator.Validator.ValidateAndCommitBlock: the
+// parse stage skips the block decode, and the caller's block is never
+// written (the engine commits a shallow copy).
+func (e *Engine) ValidateAndCommitBlock(b *block.Block) (*Result, error) {
+	own := *b
+	e.in <- &job{b: &own, start: time.Now()}
+	o := <-e.out
+	return o.Res, o.Err
+}
+
 // Close drains the pipeline and releases the stage goroutines. The engine
 // must not be used afterwards. The ledger, if any, is NOT closed (the
 // caller owns it).
@@ -202,14 +216,17 @@ func (e *Engine) parseStage(in <-chan *job, next chan<- *job) {
 	defer close(next)
 	for j := range in {
 		t := time.Now()
-		b, err := block.Unmarshal(j.raw)
-		if err != nil {
-			j.err = err
-			j.skip = true
-			next <- j
-			continue
+		if j.b == nil {
+			b, err := block.Unmarshal(j.raw)
+			if err != nil {
+				j.err = err
+				j.skip = true
+				next <- j
+				continue
+			}
+			j.b = b
 		}
-		j.b = b
+		b := j.b
 		j.txs = make([]validator.ParsedTx, len(b.Envelopes))
 		// Fan the per-transaction payload decoding out across workers —
 		// the sequential validator decodes one transaction at a time. With
@@ -246,7 +263,7 @@ func (e *Engine) verifyStage(in <-chan *job, next chan<- *job) {
 		j.res = &Result{BlockNum: j.b.Header.Number, Flags: make([]byte, len(j.txs))}
 
 		t := time.Now()
-		blockErr := validator.VerifyOrdererOpts(j.b, e.cfg.verifyOpts(), &j.bd)
+		blockErr := validator.VerifyOrderer(j.b, e.cfg.verifyOpts(), &j.bd)
 		j.bd.BlockVerify = time.Since(t)
 		if blockErr != nil {
 			for i := range j.res.Flags {
@@ -262,15 +279,10 @@ func (e *Engine) verifyStage(in <-chan *job, next chan<- *job) {
 		t = time.Now()
 		locals := make([]validator.Breakdown, len(j.txs))
 		parallelFor(len(j.txs), e.cfg.Workers, func(i int) {
-			j.res.Flags[i] = byte(validator.VSCCOneOpts(&j.b.Envelopes[i], &j.txs[i], e.cfg.Policies, e.cfg.verifyOpts(), &locals[i]))
+			j.res.Flags[i] = byte(validator.VSCCOne(&j.b.Envelopes[i], &j.txs[i], e.cfg.Policies, e.cfg.verifyOpts(), &locals[i]))
 		})
 		for i := range locals {
-			j.bd.ECDSATime += locals[i].ECDSATime
-			j.bd.ECDSACount += locals[i].ECDSACount
-			j.bd.SHA256Time += locals[i].SHA256Time
-			j.bd.SHA256Count += locals[i].SHA256Count
-			j.bd.SigCacheHits += locals[i].SigCacheHits
-			j.bd.SigCacheTime += locals[i].SigCacheTime
+			j.bd.Add(locals[i])
 		}
 		j.bd.VerifyVSCC = time.Since(t)
 		next <- j

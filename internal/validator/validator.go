@@ -205,17 +205,34 @@ func ParseTx(payloadBytes []byte) ParsedTx {
 
 // ValidateAndCommit runs the full validation pipeline on a marshaled block.
 // It accepts raw bytes because the unmarshaling cost is part of what the
-// paper measures.
+// paper measures: the block decode is charged to Breakdown.Unmarshal along
+// with the transaction payload parsing.
 func (v *Validator) ValidateAndCommit(raw []byte) (*Result, error) {
-	var bd Breakdown
 	start := time.Now()
-
-	// Stage 1: unmarshal everything (bottleneck 1).
-	tUn := time.Now()
 	b, err := block.Unmarshal(raw)
 	if err != nil {
 		return nil, err
 	}
+	return v.validateAndCommit(b, start)
+}
+
+// ValidateAndCommitBlock validates an already-decoded block — the path a
+// gossip peer takes, since gossip.ReadBlock decoded the block once on
+// receipt. Breakdown.Unmarshal then covers transaction payload parsing
+// only. The caller's block is never written: the validation flags and
+// commit hash are set on a shallow copy, so one block may be committed to
+// several peers at once.
+func (v *Validator) ValidateAndCommitBlock(b *block.Block) (*Result, error) {
+	own := *b
+	return v.validateAndCommit(&own, time.Now())
+}
+
+// validateAndCommit runs stages 1-5 on a block this call may write; the
+// unmarshal stage is timed from start.
+func (v *Validator) validateAndCommit(b *block.Block, start time.Time) (*Result, error) {
+	var bd Breakdown
+
+	// Stage 1: unmarshal every transaction payload (bottleneck 1).
 	txs := make([]ParsedTx, len(b.Envelopes))
 	for i := range b.Envelopes {
 		var hit bool
@@ -224,27 +241,13 @@ func (v *Validator) ValidateAndCommit(raw []byte) (*Result, error) {
 			bd.ParseCacheHits++
 		}
 	}
-	bd.Unmarshal = time.Since(tUn)
+	bd.Unmarshal = time.Since(start)
 
-	return v.validateParsed(b, txs, start, bd)
-}
-
-// ValidateAndCommitBlock validates an already-unmarshaled block (the path a
-// gossip listener uses); the inner transaction payloads still need decoding
-// and are charged to the unmarshal stage.
-func (v *Validator) ValidateAndCommitBlock(b *block.Block) (*Result, error) {
-	// Re-marshal cost is not charged; Fabric receives raw bytes, and so do
-	// the benchmarks (which call ValidateAndCommit). This entry point is
-	// for integration plumbing.
-	return v.ValidateAndCommit(block.Marshal(b))
-}
-
-func (v *Validator) validateParsed(b *block.Block, txs []ParsedTx, start time.Time, bd Breakdown) (*Result, error) {
 	res := &Result{BlockNum: b.Header.Number, Flags: make([]byte, len(txs))}
 
 	// Stage 2: block verification (orderer signature).
 	tBlk := time.Now()
-	blockErr := VerifyOrdererOpts(b, v.verifyOpts(), &bd)
+	blockErr := VerifyOrderer(b, v.verifyOpts(), &bd)
 	bd.BlockVerify = time.Since(tBlk)
 	if blockErr != nil {
 		for i := range res.Flags {
@@ -315,12 +318,7 @@ func (v *Validator) validateParsed(b *block.Block, txs []ParsedTx, start time.Ti
 // DataHash binds the delivered envelopes, attributing hash and ECDSA time to
 // the operation counters. Exported so internal/pipeline's block-verify stage
 // is the same code as the sequential validator's.
-func VerifyOrderer(b *block.Block, bd *Breakdown) error {
-	return VerifyOrdererOpts(b, VerifyOpts{}, bd)
-}
-
-// VerifyOrdererOpts is VerifyOrderer with the optional verification cache.
-func VerifyOrdererOpts(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
+func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	// The orderer signature covers the header only; the header's DataHash
 	// is what binds the envelope bytes. Recompute it so a block whose
 	// envelopes were corrupted in flight (but still decoded) is rejected
@@ -389,15 +387,10 @@ func (v *Validator) verifyVSCCParallel(b *block.Block, txs []ParsedTx, flags []b
 			if i >= len(txs) {
 				break
 			}
-			flags[i] = byte(VSCCOneOpts(&b.Envelopes[i], &txs[i], v.cfg.Policies, v.verifyOpts(), &local))
+			flags[i] = byte(VSCCOne(&b.Envelopes[i], &txs[i], v.cfg.Policies, v.verifyOpts(), &local))
 		}
 		mu.Lock()
-		bd.ECDSATime += local.ECDSATime
-		bd.ECDSACount += local.ECDSACount
-		bd.SHA256Time += local.SHA256Time
-		bd.SHA256Count += local.SHA256Count
-		bd.SigCacheHits += local.SigCacheHits
-		bd.SigCacheTime += local.SigCacheTime
+		bd.Add(local)
 		mu.Unlock()
 	}
 	workers := v.cfg.Workers
@@ -414,15 +407,10 @@ func (v *Validator) verifyVSCCParallel(b *block.Block, txs []ParsedTx, flags []b
 // VSCCOne validates one transaction: client signature, then all endorsement
 // signatures, then the endorsement policy. Exported so internal/pipeline's
 // vscc stage shares the exact Fabric-equivalent semantics (every endorsement
-// verified, no short-circuiting).
-func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, bd *Breakdown) block.ValidationCode {
-	return VSCCOneOpts(env, p, policies, VerifyOpts{}, bd)
-}
-
-// VSCCOneOpts is VSCCOne with the optional verification cache and batched
-// endorsement checks. Verdicts are bit-identical to VSCCOne for every input:
-// the cache memoizes, the batch only reorders independent verifications.
-func VSCCOneOpts(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
+// verified, no short-circuiting). The optional verification cache and
+// batched endorsement checks leave verdicts bit-identical: the cache
+// memoizes, the batch only reorders independent verifications.
+func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
 	if p.Err != nil {
 		return p.Code
 	}

@@ -3,8 +3,9 @@
 #
 # Library packages (the root bmac package and everything under internal/)
 # must have a file opening with the canonical `// Package <name> ...`
-# header. Command packages (cmd/, examples/) must open with a doc comment
-# too (`// Command ...` or a scenario description). go vet does not
+# header. Command packages (cmd/, examples/, and the perfbench benchmark
+# command) must open with a doc comment too (`// Command ...` or a
+# scenario description). go vet does not
 # enforce either, so CI runs this check alongside it — the README points
 # readers at `go doc`, and empty docs defeat that.
 set -euo pipefail
@@ -14,7 +15,7 @@ fail=0
 dirs=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec dirname {} \; | sort -u)
 for d in $dirs; do
   case "$d" in
-  ./cmd/*|./examples/*)
+  ./cmd/*|./examples/*|./perfbench)
     # package main: any leading doc comment counts.
     if ! head -1 "$d"/*.go | grep -q '^// '; then
       echo "doclint: no leading doc comment in $d" >&2

@@ -201,6 +201,7 @@ func (tb *Testbed) deliver(b *block.Block) error {
 	}
 	// The two software peers are independent (own stores, own ledgers):
 	// validate concurrently so delivery pays max(sw, par), not the sum.
+	// Both read the same decoded block; neither writes it.
 	type parOut struct {
 		res peer.CommitResult
 		err error
@@ -273,21 +274,21 @@ func (tb *Testbed) NewClient(w Workload, seed int64) (*client.Driver, error) {
 // Bootstrap seeds the genesis state for a workload in every store:
 // endorsers, both software peers and the BMac peer's in-hardware database.
 func (tb *Testbed) Bootstrap(w Workload) error {
-	stores := []statedb.KVS{tb.SWPeer.Validator.Store(), tb.ParPeer.Engine.Store()}
+	stores := []statedb.KVS{tb.SWPeer.Store(), tb.ParPeer.Store()}
 	for _, e := range tb.Endorsers {
 		stores = append(stores, e.Store())
 	}
 	if err := client.Bootstrap(w, tb.registry, stores...); err != nil {
 		return err
 	}
-	return client.BootstrapHardware(w, tb.registry, tb.SWPeer.Validator.Store(), tb.BMacPeer.Proc.DB())
+	return client.BootstrapHardware(w, tb.registry, tb.SWPeer.Store(), tb.BMacPeer.Proc.DB())
 }
 
 // ParallelBackendSummary describes the parallel peer's state-database
 // backend and, for a hybrid backend, its cache behaviour and prefetch
 // volume — the operational view of the §5 scaling proposal.
 func (tb *Testbed) ParallelBackendSummary() string {
-	switch kvs := tb.ParPeer.Engine.Store().(type) {
+	switch kvs := tb.ParPeer.Store().(type) {
 	case *statedb.HybridKVS:
 		hits, misses, evictions, hostReads, hostWrites := kvs.Stats()
 		return fmt.Sprintf(
