@@ -1,6 +1,9 @@
 package bmac
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -224,10 +227,29 @@ func TestNewTestbedInvalidConfig(t *testing.T) {
 }
 
 func TestNewTestbedNeedsOrdererAndClient(t *testing.T) {
+	base := runtime.NumGoroutine()
 	cfg := DefaultConfig()
 	cfg.Orgs[0].Orderers = 0
 	if _, err := NewTestbed(cfg, t.TempDir()); err == nil {
 		t.Error("expected error when the first org has no orderer")
+	}
+	// A validator ledger that cannot open fails the build after the raft
+	// cluster, the orderer and the BMac peer are up.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "sw_validator"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTestbed(DefaultConfig(), dir); err == nil {
+		t.Error("expected error when the validator ledger cannot open")
+	}
+	// A failed build releases everything it started.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after the failed builds, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 	}
 
 	cfg2 := DefaultConfig()

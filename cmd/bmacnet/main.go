@@ -35,13 +35,14 @@
 //	bmacnet -cluster -peers 4 -slow-peers 1 -rate 500 -path pipelined
 //	bmacnet -cluster -churn -rate 900 -txs 200 -no-bmac
 //	bmacnet -cluster -churn -churn-corrupt -segment-bytes 4096 -txs 200 -no-bmac
-//	bmacnet -cluster -churn -segment-bytes 4096 -prune -rate 900 -txs 200 -no-bmac
+//	bmacnet -cluster -churn -segment-bytes 4096 -prune -checkpoint-every 4 -rate 900 -txs 200 -no-bmac
 //	bmacnet -cluster -adversary-rate 0.5 -txs 200 -no-bmac
 //	bmacnet -cluster -fault partition -rate 900 -txs 200 -no-bmac
 //	bmacnet -cluster -fault leaderkill -raft-nodes 3 -peers 2 -rate 900 -txs 200 -no-bmac
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -119,6 +120,12 @@ func run() error {
 	if *prefetch {
 		cfg.Pipeline.Prefetch = true
 	}
+	// The delivery and durability flags write the config only when given.
+	cfg.Delivery.Window = cmp.Or(*window, cfg.Delivery.Window)
+	cfg.Durability.CheckpointEvery = cmp.Or(*ckptEvery, cfg.Durability.CheckpointEvery)
+	cfg.Durability.SegmentBytes = cmp.Or(*segBytes, cfg.Durability.SegmentBytes)
+	cfg.Durability.Prune = cfg.Durability.Prune || *prune
+	cfg.Durability.NoFastSync = cfg.Durability.NoFastSync || !*fastsync
 	if *telAddr != "" {
 		cfg.Telemetry.Enabled = true
 		cfg.Telemetry.Addr = *telAddr
@@ -176,32 +183,27 @@ func run() error {
 			pol = cfg.Delivery.Policy
 		}
 		return runCluster(cfg, bmac.ClusterOptions{
-			Mode:            *path,
-			Peers:           *peers,
-			SlowPeers:       *slowPeers,
-			SlowDelay:       *slowDelay,
-			SlowPolicy:      pol,
-			BMacPeer:        !*noBMac,
-			RaftNodes:       *raftNodes,
-			Txs:             *txs,
-			Rate:            *rate,
-			Arrival:         *arrival,
-			Clients:         *clients,
-			Window:          *window,
-			Accounts:        *accounts,
-			Skew:            *skew,
-			Seed:            time.Now().UnixNano(),
-			Churn:           *churn,
-			ChurnAfter:      *churnAfter,
-			ChurnCorrupt:    *churnRot,
-			CheckpointEvery: *ckptEvery,
-			SegmentBytes:    *segBytes,
-			Prune:           *prune,
-			NoFastSync:      !*fastsync,
-			Adversary:       *advRate,
-			Fault:           *fault,
-			FaultAfter:      *faultAfter,
-			Recorder:        rec,
+			Mode:         *path,
+			Peers:        *peers,
+			SlowPeers:    *slowPeers,
+			SlowDelay:    *slowDelay,
+			SlowPolicy:   pol,
+			BMacPeer:     !*noBMac,
+			RaftNodes:    *raftNodes,
+			Txs:          *txs,
+			Rate:         *rate,
+			Arrival:      *arrival,
+			Clients:      *clients,
+			Accounts:     *accounts,
+			Skew:         *skew,
+			Seed:         time.Now().UnixNano(),
+			Churn:        *churn,
+			ChurnAfter:   *churnAfter,
+			ChurnCorrupt: *churnRot,
+			Adversary:    *advRate,
+			Fault:        *fault,
+			FaultAfter:   *faultAfter,
+			Recorder:     rec,
 		}, workdir)
 	}
 

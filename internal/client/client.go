@@ -11,6 +11,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"strconv"
+	"sync"
 
 	"bmac/internal/block"
 	"bmac/internal/chaincode"
@@ -187,6 +188,7 @@ type Driver struct {
 	workload  Workload
 	channel   string
 	rng       *mrand.Rand
+	lock      sync.Locker // held across each endorsement round; nil: none
 
 	submitted int
 }
@@ -204,6 +206,11 @@ func NewDriver(id *identity.Identity, endorsers []*endorser.Endorser,
 		rng:       mrand.New(mrand.NewSource(seed)),
 	}
 }
+
+// SetEndorseLock makes every endorsement round (not the submit) hold l, so
+// a committer applying blocks to the endorser stores under the matching
+// exclusive lock cannot make the endorsers of one proposal disagree.
+func (d *Driver) SetEndorseLock(l sync.Locker) { d.lock = l }
 
 // Bootstrap applies the workload's setup invocations directly to every
 // endorser store (and any extra stores, e.g. the validator peers') at
@@ -302,6 +309,10 @@ var errEndorserMismatch = errors.New("client: endorsers disagree")
 // gatherEndorsements fans the proposal out to every endorser and checks
 // the responses agree.
 func (d *Driver) gatherEndorsements(prop *endorser.Proposal) ([]byte, []block.Endorsement, error) {
+	if d.lock != nil {
+		d.lock.Lock()
+		defer d.lock.Unlock()
+	}
 	var prpBytes []byte
 	endorsements := make([]block.Endorsement, 0, len(d.endorsers))
 	for _, e := range d.endorsers {

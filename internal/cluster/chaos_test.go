@@ -80,50 +80,68 @@ func TestAdversarialFloodConvergence(t *testing.T) {
 // TestPartitionHealConvergence severs the victim peer's delivery link
 // mid-run, holds it down past the retained window, heals, and requires
 // the victim to catch up (through the orderer's ledger) to a
-// bit-identical state.
+// bit-identical state. With the service's default window (256 blocks, far
+// more than the run cuts) the partition holds until the run is over: the
+// heal threshold is the effective window, not the unset config value.
 func TestPartitionHealConvergence(t *testing.T) {
-	cfg := config.Default()
-	cfg.Arch.MaxBlockTxs = 4
-	res, err := Run(cfg, Options{
-		Mode:       Sequential,
-		Peers:      3,
-		Window:     4,
-		Txs:        80,
-		Rate:       900,
-		Clients:    2,
-		Fault:      chaos.FaultPartition,
-		FaultAfter: 2,
-		Seed:       31,
-	}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		window int
+	}{{"window4", 4}, {"defaultWindow", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Arch.MaxBlockTxs = 4
+			cfg.Delivery.Window = tc.window
+			res, err := Run(cfg, Options{
+				Mode:       Sequential,
+				Peers:      3,
+				Txs:        80,
+				Rate:       900,
+				Clients:    2,
+				Fault:      chaos.FaultPartition,
+				FaultAfter: 2,
+				Seed:       31,
+			}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Chaos == nil || res.Chaos.Fault != chaos.FaultPartition {
+				t.Fatalf("chaos report %+v", res.Chaos)
+			}
+			if res.Chaos.Heals != 1 {
+				t.Errorf("partition healed %d times, want 1", res.Chaos.Heals)
+			}
+			if res.Chaos.HealedAt <= res.Chaos.StruckAt {
+				t.Errorf("healed at height %d, struck at %d: the partition had no duration",
+					res.Chaos.HealedAt, res.Chaos.StruckAt)
+			}
+			if tc.window == 0 && res.Chaos.HealedAt < uint64(res.Blocks) {
+				t.Errorf("healed at height %d of %d under the default window: the heal ignored the effective window",
+					res.Chaos.HealedAt, res.Blocks)
+			}
+			if res.Txs != res.Submitted {
+				t.Errorf("observer committed %d/%d txs", res.Txs, res.Submitted)
+			}
+			var victim *PeerReport
+			for i := range res.Peers {
+				if res.Peers[i].Name == res.Chaos.Victim {
+					victim = &res.Peers[i]
+				}
+			}
+			if victim == nil {
+				t.Fatalf("victim %q not in peer reports", res.Chaos.Victim)
+			}
+			// A partition healed only after the run shows in the early stats
+			// snapshot as failed sends; its redial comes later.
+			if tc.window == 0 && victim.Delivery.SendErrs == 0 {
+				t.Error("no send to the victim failed: the partition never bit")
+			}
+			if tc.window != 0 && victim.Delivery.Redials == 0 {
+				t.Error("victim recovered without redialing: the partition never bit")
+			}
+			requireConverged(t, res)
+		})
 	}
-	if res.Chaos == nil || res.Chaos.Fault != chaos.FaultPartition {
-		t.Fatalf("chaos report %+v", res.Chaos)
-	}
-	if res.Chaos.Heals != 1 {
-		t.Errorf("partition healed %d times, want 1", res.Chaos.Heals)
-	}
-	if res.Chaos.HealedAt <= res.Chaos.StruckAt {
-		t.Errorf("healed at height %d, struck at %d: the partition had no duration",
-			res.Chaos.HealedAt, res.Chaos.StruckAt)
-	}
-	if res.Txs != res.Submitted {
-		t.Errorf("observer committed %d/%d txs", res.Txs, res.Submitted)
-	}
-	var victim *PeerReport
-	for i := range res.Peers {
-		if res.Peers[i].Name == res.Chaos.Victim {
-			victim = &res.Peers[i]
-		}
-	}
-	if victim == nil {
-		t.Fatalf("victim %q not in peer reports", res.Chaos.Victim)
-	}
-	if victim.Delivery.Redials == 0 {
-		t.Error("victim recovered without redialing: the partition never bit")
-	}
-	requireConverged(t, res)
 }
 
 // TestCorruptionSelfHealsConvergence bit-flips every Nth gossip frame to
@@ -133,10 +151,10 @@ func TestPartitionHealConvergence(t *testing.T) {
 func TestCorruptionSelfHealsConvergence(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
+	cfg.Delivery.Window = 8
 	res, err := Run(cfg, Options{
 		Mode:    Sequential,
 		Peers:   3,
-		Window:  8,
 		Txs:     60,
 		Rate:    900,
 		Clients: 2,

@@ -20,34 +20,29 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bmac/internal/block"
-	"bmac/internal/bmacproto"
-	"bmac/internal/chaincode"
 	"bmac/internal/chaos"
 	"bmac/internal/client"
 	"bmac/internal/config"
 	"bmac/internal/delivery"
-	"bmac/internal/endorser"
 	"bmac/internal/gossip"
-	"bmac/internal/identity"
 	"bmac/internal/ledger"
 	"bmac/internal/load"
 	"bmac/internal/metrics"
-	"bmac/internal/orderer"
 	"bmac/internal/peer"
-	"bmac/internal/raft"
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
 	"bmac/internal/validator"
-	"bmac/internal/wire"
 )
 
 // Validation path modes for the software peers.
@@ -60,7 +55,10 @@ const (
 // Modes lists the validation path modes in presentation order.
 func Modes() []string { return []string{Sequential, Pipelined, Hybrid} }
 
-// Options parameterize one cluster run.
+// Options parameterize one cluster run. The delivery window and the
+// peers' durability (checkpoint cadence, segment budget, pruning, fast
+// sync) are not options: Run reads them from the config's delivery and
+// durability sections.
 type Options struct {
 	// Mode selects the software peers' validation path (default
 	// Sequential).
@@ -90,9 +88,6 @@ type Options struct {
 	Arrival string
 	// Clients is the number of concurrent load clients (default 2).
 	Clients int
-	// Window overrides the delivery window (default config/service
-	// default).
-	Window int
 	// Accounts sizes the smallbank state (default 64).
 	Accounts int
 	// Skew is the smallbank hot-account Zipf exponent (0 = uniform).
@@ -111,26 +106,12 @@ type Options struct {
 	// kill (default 2).
 	ChurnAfter int
 	// ChurnCorrupt flips a byte in the victim's oldest sealed ledger
-	// segment while it is down (requires Churn and a SegmentBytes small
-	// enough that segments have sealed). On restart the open-time checksum
-	// sweep quarantines the damaged segment; the victim then re-fetches
-	// the lost range through delivery (its pipe is rewound to the hole)
-	// and must still converge bit-identical.
+	// segment while it is down (requires Churn and a config
+	// durability.segment_bytes small enough that segments have sealed). On
+	// restart the open-time checksum sweep quarantines the damaged segment;
+	// the victim then re-fetches the lost range through delivery (its pipe
+	// is rewound to the hole) and must still converge bit-identical.
 	ChurnCorrupt bool
-	// SegmentBytes overrides the peers' ledger segment rotation budget
-	// (default: the config's durability.segment_bytes, then the ledger
-	// default). Tiny values force rotation every few blocks.
-	SegmentBytes int64
-	// Prune lets each peer drop ledger segments wholly covered by every
-	// retained checkpoint generation (default: durability.prune).
-	Prune bool
-	// NoFastSync makes restarted peers replay from the oldest retained
-	// checkpoint instead of the newest — the fastsync experiment's
-	// full-replay baseline (default: the inverse of durability.fastsync).
-	NoFastSync bool
-	// CheckpointEvery overrides the peers' state checkpoint cadence in
-	// blocks (default: the config's durability.checkpoint_every).
-	CheckpointEvery int
 	// Adversary injects hostile transactions (invalid signatures, garbage
 	// payloads, forged endorsements, replayed double-spends) at this
 	// fraction of total submitted traffic (0 disables; see internal/chaos).
@@ -153,39 +134,17 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Mode == "" {
-		o.Mode = Sequential
-	}
-	if o.Peers == 0 {
-		o.Peers = 3
-	}
-	if o.SlowDelay == 0 {
-		o.SlowDelay = 20 * time.Millisecond
-	}
-	if o.SlowPolicy == "" {
-		o.SlowPolicy = "drop"
-	}
-	if o.RaftNodes == 0 {
-		o.RaftNodes = 1
-	}
-	if o.Txs == 0 {
-		o.Txs = 60
-	}
-	if o.Clients == 0 {
-		o.Clients = 2
-	}
-	if o.Accounts == 0 {
-		o.Accounts = 64
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 60 * time.Second
-	}
-	if o.Churn && o.ChurnAfter == 0 {
-		o.ChurnAfter = 2
-	}
-	if o.Fault != "" && o.FaultAfter == 0 {
-		o.FaultAfter = 2
-	}
+	o.Mode = cmp.Or(o.Mode, Sequential)
+	o.Peers = cmp.Or(o.Peers, 3)
+	o.SlowDelay = cmp.Or(o.SlowDelay, 20*time.Millisecond)
+	o.SlowPolicy = cmp.Or(o.SlowPolicy, "drop")
+	o.RaftNodes = cmp.Or(o.RaftNodes, 1)
+	o.Txs = cmp.Or(o.Txs, 60)
+	o.Clients = cmp.Or(o.Clients, 2)
+	o.Accounts = cmp.Or(o.Accounts, 64)
+	o.Timeout = cmp.Or(o.Timeout, 60*time.Second)
+	o.ChurnAfter = cmp.Or(o.ChurnAfter, 2)
+	o.FaultAfter = cmp.Or(o.FaultAfter, 2)
 	return o
 }
 
@@ -327,17 +286,18 @@ type Result struct {
 	MetricsText string
 }
 
-// swPeer is one software gossip peer: listener, commit engine, counters.
+// swPeer is one software gossip peer: listener, commit engine, counters. A
+// churn restart reopens its listener and engine in place (open).
 type swPeer struct {
-	name    string
-	slow    bool
-	dir     string
-	ln      *gossip.Listener
-	node    committer
-	led     *ledger.Ledger
-	next    uint64 // first block the commit loop expects (recovered height)
-	started bool   // commitLoop launched (done will be closed)
-	done    chan struct{}
+	name string
+	slow bool
+	dir  string
+	ln   *gossip.Listener
+	addr *atomic.Value // the current gossip address; a restart moves it
+	node committer
+	led  *ledger.Ledger
+	next uint64        // first block the commit loop expects (recovered height)
+	done chan struct{} // closed by the commit loop; nil until start
 
 	mu         sync.Mutex
 	blocks     int
@@ -348,30 +308,12 @@ type swPeer struct {
 	err        error
 }
 
-// peerAddr is a mutable gossip dial target: a restarted peer comes back on
-// a fresh listener, and the delivery pipe's redial must follow it there.
-type peerAddr struct {
-	mu   sync.Mutex
-	addr string
-}
-
-func (a *peerAddr) get() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.addr
-}
-
-func (a *peerAddr) set(s string) {
-	a.mu.Lock()
-	a.addr = s
-	a.mu.Unlock()
-}
-
-// gossipDialer dials the peer's current address, wrapping the transport
-// with the artificial slow-peer delay when one is configured.
-func gossipDialer(a *peerAddr, slowDelay time.Duration) func() (delivery.Transport, error) {
+// gossipDialer dials the peer's current address (a restarted peer comes
+// back on a fresh listener, and the pipe's redial must follow it there),
+// wrapping the transport with the artificial slow-peer delay, if any.
+func gossipDialer(addr *atomic.Value, slowDelay time.Duration) func() (delivery.Transport, error) {
 	return func() (delivery.Transport, error) {
-		tr, err := delivery.DialGossip(a.get())
+		tr, err := delivery.DialGossip(addr.Load().(string))
 		if err != nil {
 			return nil, err
 		}
@@ -387,48 +329,24 @@ type submitWindow struct {
 	start, end time.Time
 }
 
-// submitTimes shares per-tx submit call windows between the load drivers
-// and the orderer's flight-recorder hook.
-type submitTimes struct {
-	mu    sync.Mutex
-	times map[string]submitWindow
-}
-
-func (s *submitTimes) record(txid string, w submitWindow) {
-	s.mu.Lock()
-	s.times[txid] = w
-	s.mu.Unlock()
-}
-
-// lookup is nil-receiver safe so the orderer hook can probe unconditionally.
-func (s *submitTimes) lookup(txid string) (submitWindow, bool) {
-	if s == nil {
-		return submitWindow{}, false
-	}
-	s.mu.Lock()
-	w, ok := s.times[txid]
-	s.mu.Unlock()
-	return w, ok
-}
-
 // tracedSubmitter wraps a load.Submitter and records each successful submit
-// call's window keyed by the returned transaction id. The record lands after
-// the inner call returns, so a transaction cut into a block synchronously
-// inside SubmitTx can be ordered before its window is visible — the orderer
-// hook falls back to contiguous anchors for such transactions.
+// call's window keyed by the returned transaction id, for the orderer's
+// flight-recorder hook. The record lands after the inner call returns, so a
+// transaction cut into a block synchronously inside SubmitTx can be ordered
+// before its window is visible — the orderer hook falls back to contiguous
+// anchors for such transactions.
 type tracedSubmitter struct {
 	inner load.Submitter
-	rec   *submitTimes
+	times *sync.Map // txid -> submitWindow
 }
 
 func (t *tracedSubmitter) SubmitTx() (string, error) {
 	start := time.Now()
 	txid, err := t.inner.SubmitTx()
-	if err != nil {
-		return txid, err
+	if err == nil {
+		t.times.Store(txid, submitWindow{start: start, end: time.Now()})
 	}
-	t.rec.record(txid, submitWindow{start: start, end: time.Now()})
-	return txid, nil
+	return txid, err
 }
 
 func (p *swPeer) fail(err error) {
@@ -447,6 +365,31 @@ func deltaRate(hits, misses int64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
+// run is the live state of one cluster run, shared by the wait loop, the
+// scenario hooks and the report.
+type run struct {
+	cfg    *config.Config
+	opts   Options
+	reg    *telemetry.Registry // nil when the telemetry plane is off
+	rec    *telemetry.Recorder // nil when the telemetry plane is off
+	top    *Topology
+	ordLed *ledger.Ledger // the orderer's ledger: delivery's catch-up source
+	svc    *delivery.Service
+	gen    *load.Generator
+	scn    scenario // nil without churn or a fault
+	phase  phase
+	peers  []*swPeer // peer 0 is the observer
+
+	subTimes sync.Map // txid -> submitWindow, filled with a recorder on
+
+	hwMu sync.Mutex
+	hwAt map[uint64]time.Time // when the BMac peer committed each block
+
+	loadErr         error
+	submitted, late int
+	honestDone      time.Time // the observer had every honest tx committed
+}
+
 // Run executes one cluster experiment: build, bootstrap, drive, drain,
 // report. dir receives the peers' ledgers.
 func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
@@ -454,28 +397,9 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	if opts.SlowPeers >= opts.Peers {
 		return nil, fmt.Errorf("cluster: %d slow peers need at least %d peers", opts.SlowPeers, opts.SlowPeers+1)
 	}
-	if opts.Churn && opts.Peers-opts.SlowPeers < 2 {
-		return nil, fmt.Errorf("cluster: churn needs at least 2 fast peers (have %d peers, %d slow)",
-			opts.Peers, opts.SlowPeers)
-	}
-	if opts.ChurnCorrupt && !opts.Churn {
-		return nil, errors.New("cluster: ChurnCorrupt requires Churn (corruption strikes while the victim is down)")
-	}
-	fault, err := chaos.ParseFault(opts.Fault)
+	scn, err := newScenario(opts)
 	if err != nil {
 		return nil, err
-	}
-	if fault != "" && opts.Churn {
-		return nil, errors.New("cluster: Churn and Fault are mutually exclusive scenarios")
-	}
-	if fault == chaos.FaultLeaderKill && opts.RaftNodes < 3 {
-		return nil, fmt.Errorf("cluster: the %s fault needs RaftNodes >= 3 to re-elect (have %d)",
-			fault, opts.RaftNodes)
-	}
-	peerFault := fault == chaos.FaultPartition || fault == chaos.FaultCorruption || fault == chaos.FaultSlowDisk
-	if peerFault && opts.Peers-opts.SlowPeers < 2 {
-		return nil, fmt.Errorf("cluster: the %s fault needs at least 2 fast peers (have %d peers, %d slow)",
-			fault, opts.Peers, opts.SlowPeers)
 	}
 	slowPolicy, err := delivery.ParsePolicy(opts.SlowPolicy)
 	if err != nil {
@@ -490,726 +414,393 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		hot.StateDB.NoCountAccesses = true
 	}
 	cfg = &hot
-	reg := cfg.TelemetryRegistry() // nil when the telemetry plane is off
-	rec := opts.Recorder
-	if rec == nil && cfg.Telemetry.Enabled {
-		rec = telemetry.NewRecorder()
+	r := &run{cfg: cfg, opts: opts, reg: cfg.TelemetryRegistry(), rec: opts.Recorder, scn: scn,
+		hwAt: make(map[uint64]time.Time)}
+	if scn == nil {
+		r.phase = healed
 	}
-	wire.SetBufferPooling(!cfg.Hotpath.NoMarshalPool)
+	if r.rec == nil && cfg.Telemetry.Enabled {
+		r.rec = telemetry.NewRecorder()
+	}
 	// Snapshot the shared caches' counters so the report reflects this
 	// run's traffic, not whatever a previous run on the same Config did.
 	sigH0, sigM0, _ := cfg.SigCache().Stats()
 	parH0, parM0 := cfg.ParseCache().Stats()
-	net, err := cfg.BuildNetwork()
-	if err != nil {
+
+	topts := TopologyOptions{RaftNodes: opts.RaftNodes, BatchTimeout: 30 * time.Millisecond,
+		Metrics: telemetry.NewOrdererMetrics(r.reg)}
+	if opts.BMacPeer {
+		topts.BMacDir = filepath.Join(dir, "bmac_peer")
+	}
+	if r.top, err = NewTopology(cfg, topts); err != nil {
 		return nil, err
 	}
-	registry := chaincode.NewRegistry(chaincode.Smallbank{}, chaincode.DRM{}, chaincode.SplitPay{})
-
-	// Endorser peers, as in the testbed.
-	var endorsers []*endorser.Endorser
-	for _, org := range cfg.Orgs {
-		for i := 0; i < org.Endorsers; i++ {
-			id, err := net.LookupByName(fmt.Sprintf("peer%d.%s", i, org.Name))
-			if err != nil {
-				return nil, err
-			}
-			endorsers = append(endorsers, endorser.New(id, statedb.NewStore(), registry))
-		}
-	}
-	if len(endorsers) == 0 {
-		return nil, errors.New("cluster: configuration declares no endorser peers")
-	}
-
-	// Ordering service: RaftNodes-node cluster, orderer bound to the
-	// elected leader (leader submit).
-	rc := raft.NewCluster(opts.RaftNodes, 20*time.Millisecond)
-	defer rc.Stop()
-	leader := rc.WaitForLeader(5 * time.Second)
-	if leader == nil {
-		return nil, errors.New("cluster: raft leader election timed out")
-	}
-	ordID, err := net.LookupByName("orderer0." + cfg.Orgs[0].Name)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: first org needs an orderer: %w", err)
-	}
-	ord := orderer.New(orderer.Config{
-		BatchSize:    cfg.Arch.MaxBlockTxs,
-		BatchTimeout: 30 * time.Millisecond,
-		Channel:      cfg.Channel,
-		Metrics:      telemetry.NewOrdererMetrics(reg),
-	}, ordID, leader)
-	defer ord.Stop()
+	defer r.top.Close()
 	// The orderer's own block ledger: every created block is appended here
 	// before it enters the delivery window, so the delivery service can
 	// stream arbitrarily old blocks to a peer that fell off the window
 	// (the ledger-backed catch-up source).
-	ordLed, err := ledger.Open(filepath.Join(dir, "orderer"), ledger.Options{})
-	if err != nil {
+	if r.ordLed, err = ledger.Open(filepath.Join(dir, "orderer"), ledger.Options{}); err != nil {
 		return nil, fmt.Errorf("cluster: orderer ledger: %w", err)
 	}
-	defer ordLed.Close()
+	defer r.ordLed.Close()
 
-	// Chaos fault plane. The victim of a peer-level fault is the last fast
-	// peer (the observer never is); the slow-disk shim is installed at peer
-	// construction, the partition switch and wire corrupter at delivery
-	// registration, and the leader kill strikes the raft node the orderer
-	// is bound to.
-	faultIdx := -1
-	if peerFault {
-		faultIdx = opts.Peers - opts.SlowPeers - 1
-	}
-	var disk *chaos.DiskFault
-	if fault == chaos.FaultSlowDisk {
-		disk = &chaos.DiskFault{Latency: time.Millisecond, FailEvery: 3}
-	}
-	leaderIdx := -1
-	for i, n := range rc.Nodes {
-		if n == leader {
-			leaderIdx = i
-		}
-	}
-
-	// Software peers behind real gossip TCP listeners.
-	peers := make([]*swPeer, 0, opts.Peers)
+	// Software peers behind real gossip TCP listeners, bootstrapped with
+	// the genesis state. The genesis checkpoint matters: the bootstrap
+	// state exists in no ledger block, so a peer restarted before its first
+	// periodic checkpoint must find it on disk.
 	defer func() {
-		for _, p := range peers {
+		for _, p := range r.peers {
 			p.ln.Close() // bmaclint:allow errdiscard (teardown: listener close error is unactionable)
-			if p.started {
+			if p.done != nil {
 				<-p.done // commitLoop exits once the intake channel closes
 			}
 			p.node.Close() // bmaclint:allow errdiscard (teardown: the run's result is already decided)
 		}
 	}()
-	// Per-peer state-database access counters, exported as scrape-time
-	// gauges (a churn restart re-registers the replacement store under the
-	// same name).
-	registerStateDB := func(p *swPeer) {
-		if reg == nil {
-			return
-		}
-		st := p.node.Store()
-		reg.GaugeFunc(telemetry.Name("statedb_reads_total", "peer", p.name),
-			func() int64 { r, _ := st.AccessCounts(); return int64(r) })
-		reg.GaugeFunc(telemetry.Name("statedb_writes_total", "peer", p.name),
-			func() int64 { _, w := st.AccessCounts(); return int64(w) })
-	}
+	stores := make([]statedb.KVS, 0, opts.Peers)
 	for i := 0; i < opts.Peers; i++ {
-		var df *chaos.DiskFault
-		if i == faultIdx {
-			df = disk // nil unless the slow-disk fault is selected
-		}
-		p, err := newSWPeer(cfg, opts, i, filepath.Join(dir, fmt.Sprintf("peer%d", i)), df)
-		if err != nil {
+		name := fmt.Sprintf("peer%d", i)
+		p := &swPeer{name: name, slow: i >= opts.Peers-opts.SlowPeers, dir: filepath.Join(dir, name),
+			addr: new(atomic.Value)}
+		if err := p.open(cfg, opts.Mode, diskFault(scn, i)); err != nil {
 			return nil, err
 		}
-		peers = append(peers, p)
-		registerStateDB(p)
-	}
-
-	// Optional BMac peer over the protocol path.
-	var (
-		bmacPeer *peer.BMacPeer
-		sender   *bmacproto.Sender
-	)
-	if opts.BMacPeer {
-		coreCfg, err := cfg.CoreConfig()
-		if err != nil {
-			return nil, err
-		}
-		bmacPeer, err = peer.NewBMacPeer(coreCfg, cfg.Arch.DBCapacity, filepath.Join(dir, "bmac_peer"))
-		if err != nil {
-			return nil, err
-		}
-		defer bmacPeer.Close()
-		sender = bmacproto.NewSender(identity.NewCache(), bmacproto.NewMemLink(bmacPeer.Receiver))
-		if err := sender.RegisterNetwork(net); err != nil {
-			return nil, err
-		}
-	}
-
-	// Bootstrap genesis state everywhere.
-	w := client.SmallbankWorkload{Accounts: opts.Accounts, Skew: opts.Skew}
-	stores := make([]statedb.KVS, 0, len(peers)+len(endorsers))
-	for _, p := range peers {
+		p.addr.Store(p.ln.Addr())
+		r.peers = append(r.peers, p)
 		stores = append(stores, p.node.Store())
 	}
-	for _, e := range endorsers {
-		stores = append(stores, e.Store())
-	}
-	if err := client.Bootstrap(w, registry, stores...); err != nil {
+	w := client.SmallbankWorkload{Accounts: opts.Accounts, Skew: opts.Skew}
+	if err := r.top.Bootstrap(w, stores...); err != nil {
 		return nil, err
 	}
-	if bmacPeer != nil {
-		if err := client.BootstrapHardware(w, registry, peers[0].node.Store(), bmacPeer.Proc.DB()); err != nil {
-			return nil, err
-		}
-	}
-	// Genesis checkpoint: the bootstrap state exists in no ledger block,
-	// so a peer restarted before its first periodic checkpoint must find
-	// it on disk.
-	for _, p := range peers {
+	for _, p := range r.peers {
 		if err := p.node.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("cluster: genesis checkpoint for %s: %w", p.name, err)
 		}
 	}
 
-	// Open-loop load.
-	gen, err := load.New(load.Options{
-		Rate:    opts.Rate,
-		Arrival: opts.Arrival,
-		Count:   opts.Txs,
-		Seed:    opts.Seed,
-		Metrics: telemetry.NewLoadMetrics(reg),
-	})
+	// Open-loop load. The adversary, when enabled, taps the honest path to
+	// the orderer (capturing envelopes for its replay corpus) and wraps
+	// every client, so hostile traffic rides the same open-loop schedule as
+	// honest traffic at the configured fraction. With a recorder on, every
+	// client records its submit call windows, the anchors of the
+	// submit/endorse spans.
+	r.gen, err = load.New(load.Options{Rate: opts.Rate, Arrival: opts.Arrival, Count: opts.Txs,
+		Seed: opts.Seed, Metrics: telemetry.NewLoadMetrics(r.reg)})
 	if err != nil {
 		return nil, err
 	}
-	clientID, err := net.LookupByName("client0." + cfg.Orgs[0].Name)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: first org needs a client: %w", err)
-	}
-	// The adversary taps the honest path to the orderer (capturing
-	// envelopes for its replay corpus) and wraps every load client, so
-	// hostile traffic rides the same open-loop schedule as honest traffic
-	// at the configured fraction.
 	var adv *chaos.Adversary
-	var ordSubmit client.Submitter = ord
+	var sub client.Submitter = r.top.Orderer
 	if opts.Adversary > 0 {
-		adv, err = chaos.NewAdversary(chaos.AdversaryOptions{
-			Rate:    opts.Adversary,
-			Seed:    opts.Seed,
-			Channel: cfg.Channel,
-		}, ord)
+		adv, err = chaos.NewAdversary(chaos.AdversaryOptions{Rate: opts.Adversary, Seed: opts.Seed,
+			Channel: cfg.Channel}, r.top.Orderer)
 		if err != nil {
 			return nil, err
 		}
-		ordSubmit = adv.Tap(ord)
+		sub = adv.Tap(r.top.Orderer)
 	}
 	drivers := make([]load.Submitter, opts.Clients)
 	for i := range drivers {
-		drivers[i] = client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i))
+		d, err := r.top.NewDriver(w, sub, opts.Seed+int64(100+i))
+		if err != nil {
+			return nil, err
+		}
+		drivers[i] = d
 		if adv != nil {
 			drivers[i] = adv.Wrap(drivers[i])
 		}
-	}
-	// The flight recorder anchors the submit/endorse spans on per-tx submit
-	// call windows; wrap every driver with a recording shim.
-	var subTimes *submitTimes
-	if rec != nil {
-		subTimes = &submitTimes{times: make(map[string]submitWindow)}
-		for i := range drivers {
-			drivers[i] = &tracedSubmitter{inner: drivers[i], rec: subTimes}
+		if r.rec != nil {
+			drivers[i] = &tracedSubmitter{inner: drivers[i], times: &r.subTimes}
 		}
 	}
 
 	// Delivery service: every path is one per-peer pipe, with the
-	// orderer's ledger as the catch-up source behind the window. Dial
-	// targets are mutable so a churned peer's pipe follows it to the
-	// listener it restarts on.
-	window := opts.Window
-	if window == 0 {
-		window = cfg.Delivery.Window
+	// orderer's ledger as the catch-up source behind the window.
+	r.svc = delivery.NewService(delivery.Options{Window: cfg.Delivery.Window,
+		History: delivery.LedgerSource(r.ordLed), Registry: r.reg})
+	defer r.svc.Close()
+	if err := r.registerPipes(slowPolicy); err != nil {
+		return nil, err
 	}
-	churnIdx := -1
-	if opts.Churn {
-		churnIdx = opts.Peers - opts.SlowPeers - 1 // last fast peer; observer (0) never churns
+	// Chaos-plane counters on the scrape endpoint: hostile traffic volume
+	// and how much of it the observer flag-invalidated (the scenarios
+	// register their own).
+	if adv != nil {
+		r.reg.GaugeFunc("chaos_injected_hostile_total", func() int64 { return adv.Stats().Total() })
+		obs := r.peers[0] // the observer never churns; the pointer is stable
+		r.reg.GaugeFunc("chaos_rejected_invalid_total", func() int64 {
+			obs.mu.Lock()
+			defer obs.mu.Unlock()
+			return int64(obs.txs - obs.validTxs)
+		})
 	}
-	svc := delivery.NewService(delivery.Options{
-		Window:   window,
-		History:  delivery.LedgerSource(ordLed),
-		Registry: reg,
-	})
-	defer svc.Close()
-	addrs := make([]*peerAddr, opts.Peers)
-	var (
-		partSwitch *chaos.Switch
-		corrupter  *chaos.Corrupter
-	)
-	for i, p := range peers {
-		addrs[i] = &peerAddr{addr: p.ln.Addr()}
-		slowDelay := time.Duration(0)
-		po := delivery.PeerOptions{
-			Policy:     delivery.Disconnect,
-			MaxRedials: cfg.Delivery.MaxRedials,
-		}
-		if p.slow {
-			slowDelay = opts.SlowDelay
-			po.Policy = slowPolicy
-		}
-		if i == churnIdx {
-			// The churned peer is down for a while; give its pipe a long
-			// redial budget so it survives until the restart.
-			po.MaxRedials = 4000
-			po.RedialWait = 5 * time.Millisecond
-		}
-		po.Dial = gossipDialer(addrs[i], slowDelay)
-		if i == faultIdx {
-			switch fault {
-			case chaos.FaultPartition:
-				// The victim's link runs through a severable switch. While
-				// severed, sends and redials fail; the exponential backoff
-				// cap keeps the pipe from spinning hot against the dead
-				// link, and the long budget keeps it alive until the heal.
-				partSwitch = &chaos.Switch{}
-				po.MaxRedials = 4000
-				po.RedialWait = 5 * time.Millisecond
-				po.Dial = chaos.SeverableDialer(po.Dial, partSwitch)
-			case chaos.FaultCorruption:
-				// Every Nth frame to the victim is bit-flipped; the
-				// receiver's decode rejection closes the connection, and
-				// the peer self-heals through the gap -> Rewind path.
-				corrupter = chaos.NewCorrupter(7)
-				po.MaxRedials = 4000
-				po.RedialWait = 2 * time.Millisecond
-				po.Dial = corrupter.Dialer(addrs[i].get())
-			}
-		}
-		t, err := po.Dial()
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.Register(peers[i].name, t, po); err != nil {
-			return nil, err
-		}
+	r.top.Orderer.OnDeliver(r.deliver)
+	for i, p := range r.peers {
+		p.start(r, i == 0)
 	}
-	if sender != nil {
-		if err := svc.Register("bmac", delivery.NewBMacTransport(sender), delivery.PeerOptions{}); err != nil {
-			return nil, err
-		}
-	}
-	// Chaos-plane counters on the scrape endpoint: hostile traffic volume,
-	// how much of it the observer flag-invalidated, and per-fault activity.
-	if reg != nil {
-		if adv != nil {
-			reg.GaugeFunc("chaos_injected_hostile_total", func() int64 { return adv.Stats().Total() })
-			obs := peers[0] // the observer never churns; the pointer is stable
-			reg.GaugeFunc("chaos_rejected_invalid_total", func() int64 {
-				obs.mu.Lock()
-				defer obs.mu.Unlock()
-				return int64(obs.txs - obs.validTxs)
-			})
-		}
-		if partSwitch != nil {
-			reg.GaugeFunc("chaos_partition_heals_total", partSwitch.Heals)
-		}
-		if corrupter != nil {
-			reg.GaugeFunc("chaos_corrupted_frames_total", func() int64 { _, f := corrupter.Stats(); return f })
-		}
-		if disk != nil {
-			reg.GaugeFunc("chaos_disk_fault_retries_total", func() int64 { _, f := disk.Stats(); return f })
-		}
+	if r.top.BMacPeer != nil {
+		go r.collectHW() // exits when the BMac peer closes its results
 	}
 
-	// The orderer's only hook appends the block to the orderer ledger
-	// (feeding the catch-up source), records the block's tx ids for the
-	// hardware latency join, and publishes into the delivery window; it
-	// never blocks on a peer.
-	var (
-		txMu     sync.Mutex
-		blockTxs = make(map[uint64][]string)
-	)
-	ord.OnDeliver(func(b *block.Block) error {
-		if _, err := ordLed.Commit(b); err != nil {
-			return fmt.Errorf("orderer ledger: %w", err)
-		}
-		if opts.BMacPeer {
-			ids := make([]string, 0, len(b.Envelopes))
-			for i := range b.Envelopes {
-				if id, err := block.EnvelopeTxID(&b.Envelopes[i]); err == nil {
-					ids = append(ids, id)
-				}
-			}
-			txMu.Lock()
-			blockTxs[b.Header.Number] = ids
-			txMu.Unlock()
-		}
-		if rec == nil {
-			return svc.Publish(b)
-		}
-		// Flight recorder: the block exists now, so its pre-delivery
-		// lifecycle is known. submit = first scheduled arrival → first
-		// submit call, endorse = submit calls in flight, order = last
-		// submit returned → block created (batch wait + raft + signing),
-		// publish = fan-out hand-off. The spans are anchored end-to-start
-		// so the trace tiles the timeline without gaps.
-		now := time.Now()
-		num := b.Header.Number
-		var minSched, minStart, maxEnd time.Time
-		for i := range b.Envelopes {
-			id, err := block.EnvelopeTxID(&b.Envelopes[i])
-			if err != nil {
-				continue
-			}
-			if w, ok := subTimes.lookup(id); ok {
-				if minStart.IsZero() || w.start.Before(minStart) {
-					minStart = w.start
-				}
-				if w.end.After(maxEnd) {
-					maxEnd = w.end
-				}
-			}
-			if t0, ok := gen.SubmitTime(id); ok {
-				if minSched.IsZero() || t0.Before(minSched) {
-					minSched = t0
-				}
-			}
-		}
-		// A submit record can trail its transaction into a block (the
-		// generator stores it after SubmitTx returns); fall back so the
-		// trace stays contiguous rather than dropping the block.
-		if minStart.IsZero() {
-			minStart = now
-		}
-		if minSched.IsZero() {
-			minSched = minStart
-		}
-		if maxEnd.IsZero() {
-			maxEnd = minStart
-		}
-		rec.Stamp(num, telemetry.StageSubmit, "", minSched, minStart, len(b.Envelopes))
-		rec.Stamp(num, telemetry.StageEndorse, "", minStart, maxEnd, 0)
-		rec.Stamp(num, telemetry.StageOrder, "", maxEnd, now, 0)
-		pubStart := time.Now()
-		err := svc.Publish(b)
-		rec.Stamp(num, telemetry.StagePublish, "", pubStart, time.Now(), 0)
-		return err
-	})
-
-	// Peer commit loops. Peer 0 is the observer: it records end-to-end
-	// latency and plays the committer for the endorser world state. Fast
-	// peers get a rewind hook: a delivery gap (frames lost when wire
-	// corruption tore the connection down after the sender's cursor
-	// advanced) moves the pipe cursor back for redelivery instead of
-	// silently skipping blocks.
-	rewindFor := func(p *swPeer) func(uint64) error {
-		if p.slow {
-			return nil // a slow DropBlocks peer skips by design
-		}
-		name := p.name
-		return func(seq uint64) error { return svc.Rewind(name, seq) }
-	}
-	for i, p := range peers {
-		p.started = true
-		go p.commitLoop(i == 0, gen, endorsers, rec, rewindFor(p))
-	}
-	type hwObs struct {
-		txid string
-		at   time.Time
-	}
-	var (
-		hwMu      sync.Mutex
-		hwSamples metrics.Samples
-		hwBlocks  uint64
-		hwPending []hwObs // commits observed before the submit record landed
-	)
-	if bmacPeer != nil {
-		go func() {
-			for res := range bmacPeer.Results() {
-				at := time.Now()
-				txMu.Lock()
-				ids := blockTxs[res.BlockNum]
-				txMu.Unlock()
-				hwMu.Lock()
-				hwBlocks++
-				for _, id := range ids {
-					if t0, ok := gen.SubmitTime(id); ok {
-						hwSamples.Add(at.Sub(t0))
-					} else {
-						hwPending = append(hwPending, hwObs{id, at})
-					}
-				}
-				hwMu.Unlock()
-			}
-		}()
-	}
-
-	// The churn scenario, driven from the wait loop below: (1) once the
-	// victim has committed ChurnAfter blocks, kill it — close its
-	// listener, drain its commit loop, release its ledger; (2) once its
-	// delivery cursor has fallen off the retained window (so the restart
-	// must stream from the orderer's ledger), reopen the same directory:
-	// checkpoint + ledger replay rebuild its state, the delivery pipe is
-	// rewound to the recovered height, and the peer rejoins.
-	var (
-		churnPhase    = 0 // 0 armed, 1 down, 2 rejoined (or no churn)
-		killHeight    uint64
-		recoveredAt   uint64
-		corruptedFile string
-	)
-	if churnIdx < 0 {
-		churnPhase = 2
-	}
-	churnStep := func(runOver bool) error {
-		if churnPhase == 2 {
-			return nil
-		}
-		cp := peers[churnIdx]
-		if churnPhase == 0 {
-			cp.mu.Lock()
-			blocks := cp.blocks
-			cp.mu.Unlock()
-			if blocks < opts.ChurnAfter && !runOver {
-				return nil
-			}
-			cp.ln.Close() // bmaclint:allow errdiscard (teardown: listener close error is unactionable)
-			if cp.started {
-				<-cp.done // commit loop drains its intake, then exits
-			}
-			killHeight = cp.led.Height()
-			if err := cp.node.Close(); err != nil {
-				return fmt.Errorf("cluster: churn kill %s: %w", cp.name, err)
-			}
-			// Bit-rot strikes while the peer is down: flip a byte in its
-			// oldest sealed segment. The restart's open-time checksum sweep
-			// quarantines the file and the rewind below streams the lost
-			// range back through delivery.
-			if opts.ChurnCorrupt {
-				f, err := chaos.CorruptSealedSegment(cp.dir)
-				if err != nil {
-					return fmt.Errorf("cluster: churn corrupt %s: %w", cp.name, err)
-				}
-				corruptedFile = filepath.Base(f)
-			}
-			churnPhase = 1
-			return nil
-		}
-		// Phase 1: hold the peer down until catching up needs the ledger,
-		// not just the window (unless the run is already over).
-		if !runOver && svc.Height() < killHeight+uint64(window)+2 {
-			return nil
-		}
-		np, err := newSWPeer(cfg, opts, churnIdx, cp.dir, nil)
-		if err != nil {
-			return fmt.Errorf("cluster: churn restart %s: %w", cp.name, err)
-		}
-		recoveredAt = np.next
-		// Carry the pre-crash counters so the report covers the peer's
-		// whole run.
-		cp.mu.Lock()
-		np.blocks, np.txs, np.validTxs = cp.blocks, cp.txs, cp.validTxs
-		np.restarts = cp.restarts + 1
-		np.lastCommit = cp.lastCommit
-		cp.mu.Unlock()
-		peers[churnIdx] = np
-		// The replacement store's access counters take over the peer's
-		// scrape-time gauges.
-		registerStateDB(np)
-		// The deliver protocol's catch-up request: resume this peer's pipe
-		// from the height it recovered to — or from the first quarantined
-		// hole below it, so the redelivered range doubles as the archive
-		// refetch that Restore backfills. Rewind MUST land before the new
-		// address is published — a pipe that reconnected first would
-		// deliver from its stale pre-kill cursor, the recovered peer would
-		// see a gap and stop committing, and a racing send could clobber
-		// the moved cursor.
-		rewindTo := np.next
-		if mr := np.led.MissingRanges(); len(mr) > 0 && mr[0].First < rewindTo {
-			rewindTo = mr[0].First
-		}
-		if err := svc.Rewind(np.name, rewindTo); err != nil {
-			return fmt.Errorf("cluster: churn restart %s: %w", np.name, err)
-		}
-		addrs[churnIdx].set(np.ln.Addr())
-		np.started = true
-		go np.commitLoop(false, gen, endorsers, rec, rewindFor(np))
-		churnPhase = 2
-		return nil
-	}
-
-	// The chaos fault scenario, driven from the same wait loop. Partition:
-	// sever the victim's link once delivery clears FaultAfter blocks, hold
-	// it severed until the victim has fallen more than the retained window
-	// behind (so the heal exercises redial + ledger catch-up, not just a
-	// reconnect), then heal. Leader kill: stop the raft node the orderer is
-	// bound to, poll the re-election, rebind the orderer to the new leader
-	// (re-proposing cut-but-unapplied batches exactly once). Corruption and
-	// slow disk run from the start and need no phase machinery.
-	var (
-		faultPhase   = 2 // 0 armed, 1 struck, 2 played out (or no phased fault)
-		struckAt     uint64
-		healedAt     uint64
-		newLeaderIdx = -1
-	)
-	if fault == chaos.FaultPartition || fault == chaos.FaultLeaderKill {
-		faultPhase = 0
-	}
-	faultStep := func(runOver bool) error {
-		switch {
-		case faultPhase == 2:
-			return nil
-		case fault == chaos.FaultPartition:
-			if faultPhase == 0 {
-				if svc.Height() < uint64(opts.FaultAfter) && !runOver {
-					return nil
-				}
-				struckAt = svc.Height()
-				partSwitch.Sever()
-				faultPhase = 1
-				return nil
-			}
-			if !runOver && svc.Height() < struckAt+uint64(window)+2 {
-				return nil
-			}
-			partSwitch.Heal()
-			healedAt = svc.Height()
-			faultPhase = 2
-			return nil
-		case fault == chaos.FaultLeaderKill:
-			if faultPhase == 0 {
-				if svc.Height() < uint64(opts.FaultAfter) && !runOver {
-					return nil
-				}
-				struckAt = svc.Height()
-				rc.Nodes[leaderIdx].Stop()
-				faultPhase = 1
-				return nil
-			}
-			// Poll the election with a short per-step timeout so the wait
-			// loop keeps servicing its other checks; until the rebind lands
-			// the orderer's cut path parks batches as pending (ErrNotLeader
-			// is swallowed as a transient) and the timer keeps retrying.
-			nl, err := chaos.WaitForNewLeader(rc, leaderIdx, 10*time.Millisecond)
-			if err != nil {
-				return nil // election still in progress; retry next tick
-			}
-			if err := ord.Rebind(nl); err != nil {
-				return nil // the new leader is still settling; retry next tick
-			}
-			for i, n := range rc.Nodes {
-				if n == nl {
-					newLeaderIdx = i
-				}
-			}
-			healedAt = svc.Height()
-			faultPhase = 2
-			return nil
-		}
-		return nil
-	}
-
-	// Drive the load concurrently with the wait loop (so churn can strike
-	// mid-submission), then wait for the observer peer to commit every
-	// submitted transaction (valid or invalidated — each lands in a block
-	// either way).
+	// Drive the load concurrently with the wait loop, so a scenario can
+	// strike mid-submission.
 	start := time.Now()
 	loadErr := make(chan error, 1)
-	go func() { loadErr <- gen.Run(drivers) }()
-	var (
-		runErr     error
-		loadDone   bool
-		submitted  int
-		late       int
-		honestDone time.Time
-	)
-	deadline := time.Now().Add(opts.Timeout)
-	for {
-		if !loadDone {
-			select {
-			case runErr = <-loadErr:
-				loadDone = true
-				submitted, _, late = gen.Stats()
-			default:
-			}
-		}
-		if err := churnStep(false); err != nil {
-			return nil, err
-		}
-		if err := faultStep(false); err != nil {
-			return nil, err
-		}
-		peers[0].mu.Lock()
-		committed := peers[0].txs
-		err := peers[0].err
-		peers[0].mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: observer peer: %w", err)
-		}
-		// With an adversary the observer's envelope count includes hostile
-		// traffic, so completion is judged by honest transactions matched
-		// back to their submissions.
-		if adv != nil {
-			_, committed, _ = gen.Stats()
-		}
-		if loadDone && committed >= submitted {
-			honestDone = time.Now()
-			break
-		}
-		if oerr := ord.Err(); oerr != nil {
-			return nil, fmt.Errorf("cluster: orderer: %w", oerr)
-		}
-		// A dead pipe on a fast peer is fatal; a slow peer is allowed to
-		// die of its configured policy (that is the experiment).
-		for _, st := range svc.Stats() {
-			if st.Err != nil && !isSlowName(peers, st.Name) {
-				return nil, fmt.Errorf("cluster: delivery to %s: %w", st.Name, st.Err)
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("cluster: observer committed %d/%d txs after %v",
-				committed, submitted, opts.Timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Finish the churn scenario if the run completed before it played out
-	// (tiny runs): kill + immediate restart still exercises recovery.
-	for churnPhase != 2 {
-		if err := churnStep(true); err != nil {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, errors.New("cluster: churn scenario did not complete in time")
-		}
-	}
-	// Same for a phased chaos fault (partition heal, leader re-election):
-	// even a run that finished before the fault window still plays the
-	// strike + recovery through so the convergence gate means something.
-	for faultPhase != 2 {
-		if err := faultStep(true); err != nil {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, errors.New("cluster: chaos fault scenario did not complete in time")
-		}
-		time.Sleep(time.Millisecond)
+	go func() { loadErr <- r.gen.Run(drivers) }()
+	if err := r.await(loadErr, adv != nil, time.Now().Add(opts.Timeout)); err != nil {
+		return nil, err
 	}
 	// Snapshot delivery stats now, while the contrast is visible: the
 	// observer has everything, so a fast peer's lag is ~0 while the slow
 	// peer still shows its backlog and drops.
-	stats := make(map[string]delivery.PeerStats, opts.Peers+1)
-	for _, st := range svc.Stats() {
-		stats[st.Name] = st
-	}
+	early := r.deliveryStats()
 	// Let the remaining (fast and slow) pipes finish their backlog; the
 	// slow peer's drop counter, not the drain, absorbs its overload.
-	drainErr := svc.Drain(opts.Timeout)
-	// Zero delivery lag only means the frames reached the sockets; wait
-	// for every fast peer's ledger to reach the published height. The
-	// target is re-read each pass — with an adversary, trailing
-	// hostile-only batches can still cut on the batch timer after the
-	// honest load completes, so the loop additionally requires the height
-	// to hold still briefly before calling the run settled. A peer stalled
-	// short of the target (a corrupted tail frame with no follow-on block
-	// to expose the gap to its commit loop) gets its delivery cursor
-	// rewound to its own height to force redelivery.
-	settleDeadline := time.Now().Add(opts.Timeout)
+	drainErr := r.svc.Drain(opts.Timeout)
+	r.settle(adv != nil)
+
+	// Report.
+	sigH1, sigM1, _ := cfg.SigCache().Stats()
+	parH1, parM1 := cfg.ParseCache().Stats()
+	res := &Result{
+		Mode:              opts.Mode,
+		RaftNodes:         opts.RaftNodes,
+		Submitted:         r.submitted,
+		Late:              r.late,
+		SWLatency:         r.gen.Latency(),
+		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
+		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
+	}
+	obs := r.peers[0]
+	obs.mu.Lock()
+	res.Blocks, res.Txs, res.ValidTxs = obs.blocks, obs.txs, obs.validTxs
+	res.Elapsed = obs.lastCommit.Sub(start)
+	res.HonestElapsed = r.honestDone.Sub(start)
+	obs.mu.Unlock()
+	if res.Elapsed > 0 {
+		res.TPS = metrics.Throughput(res.Txs, res.Elapsed)
+	}
+	r.reportPeers(res, early)
+	if scn != nil {
+		scn.report(r, res)
+	}
+	if adv != nil {
+		res.Adversary = &AdversaryReport{Rate: opts.Adversary, Injected: adv.Stats(),
+			RejectedInvalid: res.Txs - res.ValidTxs}
+	}
+	if r.top.BMacPeer != nil {
+		res.BMacDelivery = early["bmac"]
+		if res.HWLatency, err = r.hwLatency(); err != nil {
+			return res, err
+		}
+	}
+	res.Budget, res.TraceEvents = r.rec.Budget(), r.rec.Len()
+	if path := cfg.Telemetry.TraceFile; r.rec != nil && path != "" {
+		f, err := os.Create(path)
+		if err == nil {
+			err = r.rec.WriteJSONL(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return res, fmt.Errorf("cluster: trace file: %w", err)
+		}
+		res.TraceFile = path
+	}
+	res.MetricsText = r.reg.Text()
+	if r.loadErr != nil {
+		return res, fmt.Errorf("cluster: load: %w", r.loadErr)
+	}
+	return res, drainErr
+}
+
+// registerPipes registers one delivery pipe per software peer, plus the
+// BMac peer's; the scenario rewires its victim's pipe.
+func (r *run) registerPipes(slowPolicy delivery.Policy) error {
+	for i, p := range r.peers {
+		po := delivery.PeerOptions{Policy: delivery.Disconnect, MaxRedials: r.cfg.Delivery.MaxRedials,
+			Dial: gossipDialer(p.addr, 0)}
+		if p.slow {
+			po.Policy, po.Dial = slowPolicy, gossipDialer(p.addr, r.opts.SlowDelay)
+		}
+		if r.scn != nil && i == r.scn.victim() {
+			r.scn.wire(r, &po)
+		}
+		t, err := po.Dial()
+		if err != nil {
+			return err
+		}
+		if err := r.svc.Register(p.name, t, po); err != nil {
+			return err
+		}
+	}
+	if r.top.Sender == nil {
+		return nil
+	}
+	return r.svc.Register("bmac", delivery.NewBMacTransport(r.top.Sender), delivery.PeerOptions{})
+}
+
+// start launches the peer's commit loop; the observer records end-to-end
+// latency and plays the committer for the endorsers.
+func (p *swPeer) start(r *run, observer bool) {
+	p.done = make(chan struct{})
+	go p.commitLoop(r, observer) // closes done once the listener closes its intake
+}
+
+// deliver is the orderer's only hook: it appends the block to the
+// orderer ledger (feeding the catch-up source) and publishes into the
+// delivery window; it never blocks on a peer.
+func (r *run) deliver(b *block.Block) error {
+	if _, err := r.ordLed.Commit(b); err != nil {
+		return fmt.Errorf("orderer ledger: %w", err)
+	}
+	if r.rec == nil {
+		return r.svc.Publish(b)
+	}
+	// Flight recorder: the block exists now, so its pre-delivery lifecycle
+	// is known. submit = first scheduled arrival → first submit call,
+	// endorse = submit calls in flight, order = last submit returned →
+	// block created (batch wait + raft + signing), publish = fan-out
+	// hand-off. The spans are anchored end-to-start so the trace tiles the
+	// timeline without gaps.
+	now := time.Now()
+	num := b.Header.Number
+	var minSched, minStart, maxEnd time.Time
+	for i := range b.Envelopes {
+		id, err := block.EnvelopeTxID(&b.Envelopes[i])
+		if err != nil {
+			continue
+		}
+		if v, ok := r.subTimes.Load(id); ok {
+			w := v.(submitWindow)
+			if minStart.IsZero() || w.start.Before(minStart) {
+				minStart = w.start
+			}
+			if w.end.After(maxEnd) {
+				maxEnd = w.end
+			}
+		}
+		if t0, ok := r.gen.SubmitTime(id); ok {
+			if minSched.IsZero() || t0.Before(minSched) {
+				minSched = t0
+			}
+		}
+	}
+	// A submit record can trail its transaction into a block (the
+	// generator stores it after SubmitTx returns); fall back so the trace
+	// stays contiguous rather than dropping the block.
+	if minStart.IsZero() {
+		minStart = now
+	}
+	if minSched.IsZero() {
+		minSched = minStart
+	}
+	if maxEnd.IsZero() {
+		maxEnd = minStart
+	}
+	r.rec.Stamp(num, telemetry.StageSubmit, "", minSched, minStart, len(b.Envelopes))
+	r.rec.Stamp(num, telemetry.StageEndorse, "", minStart, maxEnd, 0)
+	r.rec.Stamp(num, telemetry.StageOrder, "", maxEnd, now, 0)
+	pubStart := time.Now()
+	err := r.svc.Publish(b)
+	r.rec.Stamp(num, telemetry.StagePublish, "", pubStart, time.Now(), 0)
+	return err
+}
+
+// await steps the scenario while the load runs, until the observer peer
+// has committed every submitted transaction (valid or invalidated — each
+// lands in a block either way) and the scenario has played out. A run
+// that completes first forces the scenario through its remaining phases,
+// so even a tiny run plays the strike and the recovery through.
+func (r *run) await(loadErr <-chan error, adversary bool, deadline time.Time) error {
+	finished := false
+	for {
+		if !finished {
+			select {
+			case r.loadErr = <-loadErr:
+				finished = true
+				r.submitted, _, r.late = r.gen.Stats()
+			default:
+			}
+		}
+		obs := r.peers[0]
+		obs.mu.Lock()
+		committed := obs.txs
+		err := obs.err
+		obs.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("cluster: observer peer: %w", err)
+		}
+		// With an adversary the observer's envelope count includes hostile
+		// traffic, so completion is judged by honest transactions matched
+		// back to their submissions.
+		if adversary {
+			_, committed, _ = r.gen.Stats()
+		}
+		over := finished && committed >= r.submitted
+		if over && r.honestDone.IsZero() {
+			r.honestDone = time.Now()
+		}
+		if err := r.step(over); err != nil {
+			return err
+		}
+		if over && r.phase == healed {
+			return nil
+		}
+		if oerr := r.top.Orderer.Err(); oerr != nil {
+			return fmt.Errorf("cluster: orderer: %w", oerr)
+		}
+		// A dead pipe on a fast peer is fatal; a slow peer is allowed to
+		// die of its configured policy (that is the experiment).
+		for _, st := range r.svc.Stats() {
+			if st.Err != nil && !isSlowName(r.peers, st.Name) {
+				return fmt.Errorf("cluster: delivery to %s: %w", st.Name, st.Err)
+			}
+		}
+		if time.Now().After(deadline) {
+			if over {
+				return errors.New("cluster: scenario did not complete in time")
+			}
+			return fmt.Errorf("cluster: observer committed %d/%d txs after %v",
+				committed, r.submitted, r.opts.Timeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settle waits for every fast peer's ledger, and the BMac peer's commits,
+// to reach the published height: zero delivery lag only means the frames
+// reached the sockets (or, for the BMac peer, the protocol link).
+// The target is re-read each pass — with an adversary, trailing
+// hostile-only batches can still cut on the batch timer after the honest
+// load completes, so the loop additionally requires the height to hold
+// still briefly before calling the run settled. A peer stalled short of
+// the target (a corrupted tail frame with no follow-on block to expose
+// the gap to its commit loop) gets its delivery cursor rewound to its own
+// height to force redelivery. The settle deadline bounds a stuck peer;
+// the convergence gate reports it.
+func (r *run) settle(adversary bool) {
+	settleDeadline := time.Now().Add(r.opts.Timeout)
 	stableSince := time.Now()
-	lastTarget := svc.Height()
-	lastH := make(map[string]uint64, len(peers))
-	lastHAt := make(map[string]time.Time, len(peers))
-	for _, p := range peers {
+	lastTarget := r.svc.Height()
+	lastH := make(map[string]uint64, len(r.peers))
+	lastHAt := make(map[string]time.Time, len(r.peers))
+	for _, p := range r.peers {
 		if !p.slow {
 			lastH[p.name], lastHAt[p.name] = p.led.Height(), time.Now()
 		}
 	}
 	for {
-		target := svc.Height()
+		target := r.svc.Height()
 		if target != lastTarget {
 			lastTarget = target
 			stableSince = time.Now()
 		}
 		allAt := true
-		for _, p := range peers {
+		for _, p := range r.peers {
 			if p.slow {
 				continue
 			}
@@ -1238,182 +829,102 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 				if mr := p.led.MissingRanges(); len(mr) > 0 {
 					to = mr[0].First
 				}
-				svc.Rewind(p.name, to) // bmaclint:allow errdiscard (best-effort nudge; the settle deadline bounds a stuck peer)
+				r.svc.Rewind(p.name, to) // bmaclint:allow errdiscard (best-effort nudge; the settle deadline bounds a stuck peer)
 				lastHAt[p.name] = time.Now()
 			}
 		}
-		if allAt && (adv == nil || time.Since(stableSince) > 150*time.Millisecond) {
-			break
+		r.hwMu.Lock()
+		hwDone := r.top.BMacPeer == nil || uint64(len(r.hwAt)) >= target
+		r.hwMu.Unlock()
+		if allAt && hwDone && (!adversary || time.Since(stableSince) > 150*time.Millisecond) {
+			return
 		}
 		if time.Now().After(settleDeadline) {
-			break
+			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if bmacPeer != nil {
-		// The protocol sender returned as soon as packets entered the
-		// link; wait for the hardware pipeline to finish the tail.
-		flushDeadline := time.Now().Add(opts.Timeout)
-		for {
-			hwMu.Lock()
-			done := hwBlocks >= svc.Height()
-			hwMu.Unlock()
-			if done || time.Now().After(flushDeadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+}
 
-	// Report.
-	sigH1, sigM1, _ := cfg.SigCache().Stats()
-	parH1, parM1 := cfg.ParseCache().Stats()
-	res := &Result{
-		Mode:              opts.Mode,
-		RaftNodes:         opts.RaftNodes,
-		Submitted:         submitted,
-		Late:              late,
-		SWLatency:         gen.Latency(),
-		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
-		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
+// deliveryStats snapshots every pipe's delivery stats by peer name.
+func (r *run) deliveryStats() map[string]delivery.PeerStats {
+	stats := make(map[string]delivery.PeerStats, len(r.peers)+1)
+	for _, st := range r.svc.Stats() {
+		stats[st.Name] = st
 	}
-	peers[0].mu.Lock()
-	res.Blocks = peers[0].blocks
-	res.Txs = peers[0].txs
-	res.ValidTxs = peers[0].validTxs
-	res.Elapsed = peers[0].lastCommit.Sub(start)
-	res.HonestElapsed = honestDone.Sub(start)
-	peers[0].mu.Unlock()
-	if res.Elapsed > 0 {
-		res.TPS = metrics.Throughput(res.Txs, res.Elapsed)
-	}
-	// Final per-peer delivery stats (the early snapshot preserved the
-	// slow-peer contrast; catch-up counters only settle after the drain).
-	finalStats := make(map[string]delivery.PeerStats, opts.Peers+1)
-	for _, st := range svc.Stats() {
-		finalStats[st.Name] = st
-	}
-	for _, p := range peers {
+	return stats
+}
+
+// reportPeers fills the per-peer reports and the convergence verdict:
+// every fast peer must have reached an identical chain and state; slow
+// peers may lag or drop by design. Delivery stats come from the early
+// snapshot, which preserved the slow-peer contrast, except the catch-up
+// counters, which only settle after the drain.
+func (r *run) reportPeers(res *Result, early map[string]delivery.PeerStats) {
+	final := r.deliveryStats()
+	res.Peers = make([]PeerReport, len(r.peers))
+	res.Converged = true
+	var ref *PeerReport // the first fast peer's
+	for i, p := range r.peers {
+		pr := &res.Peers[i]
 		p.mu.Lock()
-		pr := PeerReport{
+		*pr = PeerReport{
 			Name:     p.name,
 			Slow:     p.slow,
 			Blocks:   p.blocks,
 			Txs:      p.txs,
 			ValidTxs: p.validTxs,
-			Delivery: stats[p.name],
+			Delivery: early[p.name],
 			Restarts: p.restarts,
 		}
 		p.mu.Unlock()
-		pr.Delivery.CaughtUp = finalStats[p.name].CaughtUp
+		pr.Delivery.CaughtUp = final[p.name].CaughtUp
 		pr.Height = p.led.Height()
 		pr.Ledger = p.led.Stats()
 		pr.StateHash = hex.EncodeToString(statedb.SnapshotHash(p.node.Store().Snapshot()))
 		pr.CommitHash = hex.EncodeToString(p.led.LastCommitHash())
-		res.Peers = append(res.Peers, pr)
-	}
-	// Convergence: every fast peer must have reached an identical chain
-	// and state; slow peers may lag or drop by design.
-	res.Converged = true
-	ref := -1
-	for i := range res.Peers {
-		if res.Peers[i].Slow {
-			continue
-		}
-		if ref < 0 {
-			ref = i
-			continue
-		}
-		if res.Peers[i].Height != res.Peers[ref].Height ||
-			res.Peers[i].StateHash != res.Peers[ref].StateHash ||
-			res.Peers[i].CommitHash != res.Peers[ref].CommitHash {
+		switch {
+		case pr.Slow:
+		case ref == nil:
+			ref = pr
+		case pr.Height != ref.Height || pr.StateHash != ref.StateHash || pr.CommitHash != ref.CommitHash:
 			res.Converged = false
 		}
 	}
-	if churnIdx >= 0 {
-		vs := peers[churnIdx].led.Stats()
-		res.Churn = &ChurnReport{
-			Peer:           peers[churnIdx].name,
-			KillHeight:     killHeight,
-			RecoveredAt:    recoveredAt,
-			CaughtUp:       finalStats[peers[churnIdx].name].CaughtUp,
-			Restarts:       peers[churnIdx].restarts,
-			CorruptedFile:  corruptedFile,
-			Quarantined:    vs.Quarantined,
-			RestoredBlocks: vs.RestoredBlocks,
+}
+
+// collectHW records the BMac peer's commits until the peer closes.
+func (r *run) collectHW() {
+	for res := range r.top.BMacPeer.Results() {
+		at := time.Now()
+		r.hwMu.Lock()
+		r.hwAt[res.BlockNum] = at
+		r.hwMu.Unlock()
+	}
+}
+
+// hwLatency is the hardware path's end-to-end latency: it joins each
+// block the BMac peer committed, read back from the orderer's ledger, to
+// the scheduled arrivals of its transactions. gen.Run has returned, so
+// every submission is recorded by then.
+func (r *run) hwLatency() (metrics.LatencySummary, error) {
+	r.hwMu.Lock()
+	defer r.hwMu.Unlock()
+	var samples metrics.Samples
+	for num, at := range r.hwAt {
+		b, err := r.ordLed.Get(num)
+		if err != nil {
+			return metrics.LatencySummary{}, fmt.Errorf("cluster: hardware latency: %w", err)
+		}
+		for i := range b.Envelopes {
+			if id, err := block.EnvelopeTxID(&b.Envelopes[i]); err == nil {
+				if t0, ok := r.gen.SubmitTime(id); ok {
+					samples.Add(at.Sub(t0))
+				}
+			}
 		}
 	}
-	if adv != nil {
-		res.Adversary = &AdversaryReport{
-			Rate:            opts.Adversary,
-			Injected:        adv.Stats(),
-			RejectedInvalid: res.Txs - res.ValidTxs,
-		}
-	}
-	if fault != "" {
-		cr := &ChaosReport{Fault: fault, StruckAt: struckAt, HealedAt: healedAt}
-		if fault == chaos.FaultLeaderKill {
-			cr.Victim = fmt.Sprintf("raft%d", leaderIdx)
-			cr.KilledNode = leaderIdx
-			cr.NewLeader = newLeaderIdx
-		} else {
-			victim := peers[faultIdx]
-			cr.Victim = victim.name
-			cr.LedgerRetries = victim.led.FaultRetries()
-			if partSwitch != nil {
-				cr.Heals = partSwitch.Heals()
-			}
-			if corrupter != nil {
-				_, cr.CorruptedFrames = corrupter.Stats()
-			}
-			if disk != nil {
-				cr.DiskWrites, cr.DiskFaults = disk.Stats()
-			}
-		}
-		res.Chaos = cr
-	}
-	if bmacPeer != nil {
-		res.BMacDelivery = stats["bmac"]
-		hwMu.Lock()
-		// Resolve commits that raced ahead of their submit record; every
-		// submission is recorded by now (gen.Run returned).
-		for _, o := range hwPending {
-			if t0, ok := gen.SubmitTime(o.txid); ok {
-				hwSamples.Add(o.at.Sub(t0))
-			}
-		}
-		hwPending = nil
-		res.HWLatency = hwSamples.Summary()
-		hwMu.Unlock()
-	}
-	if rec != nil {
-		res.Budget = rec.Budget()
-		res.TraceEvents = rec.Len()
-		if path := cfg.Telemetry.TraceFile; path != "" {
-			f, err := os.Create(path)
-			if err != nil {
-				return res, fmt.Errorf("cluster: trace file: %w", err)
-			}
-			werr := rec.WriteJSONL(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return res, fmt.Errorf("cluster: trace file: %w", werr)
-			}
-			res.TraceFile = path
-		}
-	}
-	if reg != nil {
-		res.MetricsText = reg.Text()
-	}
-	if runErr != nil {
-		return res, fmt.Errorf("cluster: load: %w", runErr)
-	}
-	if drainErr != nil {
-		return res, drainErr
-	}
-	return res, nil
+	return samples.Summary(), nil
 }
 
 // stampBlock records the observer-side lifecycle spans of one committed
@@ -1466,51 +977,6 @@ func isSlowName(peers []*swPeer, name string) bool {
 	return false
 }
 
-// newSWPeer builds one durable software peer for the selected validation
-// path. Opening an existing dir recovers: checkpoint + ledger replay seed
-// the state, and p.next reports the height the peer resumes from. A
-// non-nil df installs the slow-disk fault shim under the peer's ledger
-// and checkpoint writers.
-func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.DiskFault) (*swPeer, error) {
-	ln, err := gossip.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	p := &swPeer{
-		name: fmt.Sprintf("peer%d", i),
-		slow: i >= opts.Peers-opts.SlowPeers,
-		dir:  dir,
-		ln:   ln,
-		done: make(chan struct{}),
-	}
-	dopts := peer.DurableOptions{
-		CheckpointEvery: opts.CheckpointEvery,
-		KeepCheckpoints: cfg.Durability.KeepCheckpoints,
-		SegmentBytes:    opts.SegmentBytes,
-		Prune:           opts.Prune || cfg.Durability.Prune,
-		NoFastSync:      opts.NoFastSync || cfg.Durability.NoFastSync,
-		SyncEachBlock:   cfg.Durability.SyncEachBlock,
-		Metrics:         telemetry.NewLedgerMetrics(cfg.TelemetryRegistry(), p.name),
-	}
-	if dopts.CheckpointEvery == 0 {
-		dopts.CheckpointEvery = cfg.Durability.CheckpointEvery
-	}
-	if dopts.SegmentBytes == 0 {
-		dopts.SegmentBytes = cfg.Durability.SegmentBytes
-	}
-	if df != nil {
-		dopts.CommitFault = df.Hook()
-		dopts.CheckpointFault = df.Hook()
-	}
-	node, led, err := openPeer(cfg, opts.Mode, dir, dopts)
-	if err != nil {
-		ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-		return nil, err
-	}
-	p.node, p.led, p.next = node, led, node.Height()
-	return p, nil
-}
-
 // committer is the opened durable software peer behind a cluster peer: a
 // *peer.SWPeer or a *peer.ParallelPeer.
 type committer interface {
@@ -1521,24 +987,42 @@ type committer interface {
 	Close() error
 }
 
-// openPeer opens (recovering) the durable software peer of the given
-// validation path in dir, returning it with its ledger.
-func openPeer(cfg *config.Config, mode string, dir string, dopts peer.DurableOptions) (committer, *ledger.Ledger, error) {
+// open opens (recovering) the peer's durable store for the selected
+// validation path, behind a fresh gossip listener: checkpoint + ledger
+// replay seed the state, and p.next reports the height the peer resumes
+// from. A churn restart reopens a killed peer the same way. A non-nil df
+// installs the slow-disk fault shim under the ledger and checkpoint
+// writers. The store's access counters are exported as scrape-time
+// gauges, so a restart re-registers them for the replacement store.
+func (p *swPeer) open(cfg *config.Config, mode string, df *chaos.DiskFault) error {
+	dopts := peer.DurableOptions{
+		CheckpointEvery: cfg.Durability.CheckpointEvery,
+		KeepCheckpoints: cfg.Durability.KeepCheckpoints,
+		SegmentBytes:    cfg.Durability.SegmentBytes,
+		Prune:           cfg.Durability.Prune,
+		NoFastSync:      cfg.Durability.NoFastSync,
+		SyncEachBlock:   cfg.Durability.SyncEachBlock,
+		Metrics:         telemetry.NewLedgerMetrics(cfg.TelemetryRegistry(), p.name),
+	}
+	if df != nil {
+		dopts.CommitFault = df.Hook()
+		dopts.CheckpointFault = df.Hook()
+	}
 	switch mode {
 	case Sequential:
 		valCfg, err := cfg.ValidatorConfig(4)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		store := statedb.NewStore()
 		if cfg.StateDB.NoCountAccesses {
 			store.SetCountAccesses(false)
 		}
-		sw, err := peer.NewDurableSWPeer(valCfg, store, dir, dopts)
+		sw, err := peer.NewDurableSWPeer(valCfg, store, p.dir, dopts)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		return sw, sw.Ledger, nil
+		p.node, p.led = sw, sw.Ledger
 	case Pipelined, Hybrid:
 		mcfg := *cfg
 		if mode == Hybrid {
@@ -1549,28 +1033,49 @@ func openPeer(cfg *config.Config, mode string, dir string, dopts peer.DurableOpt
 		}
 		pipeCfg, err := mcfg.PipelineConfig()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		kvs, err := mcfg.NewKVS()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		pp, err := peer.NewDurableParallelPeer(pipeCfg, kvs, dir, dopts)
+		pp, err := peer.NewDurableParallelPeer(pipeCfg, kvs, p.dir, dopts)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		return pp, pp.Ledger, nil
+		p.node, p.led = pp, pp.Ledger
+	default:
+		return fmt.Errorf("cluster: unknown mode %q (valid: %v)", mode, Modes())
 	}
-	return nil, nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", mode, Modes())
+	ln, err := gossip.Listen("127.0.0.1:0")
+	if err != nil {
+		p.node.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
+		return err
+	}
+	p.ln, p.next = ln, p.node.Height()
+	st, reg := p.node.Store(), cfg.TelemetryRegistry()
+	reg.GaugeFunc(telemetry.Name("statedb_reads_total", "peer", p.name),
+		func() int64 { rd, _ := st.AccessCounts(); return int64(rd) })
+	reg.GaugeFunc(telemetry.Name("statedb_writes_total", "peer", p.name),
+		func() int64 { _, wr := st.AccessCounts(); return int64(wr) })
+	return nil
 }
 
 // commitLoop drains the peer's gossip intake, committing blocks in
 // delivery order. The observer additionally records end-to-end latency,
-// applies committed writes to the endorser stores (committer role), and —
-// when the flight recorder is on — stamps the block's peer-side lifecycle
-// spans (deliver through commit, plus the enclosing e2e span).
-func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*endorser.Endorser, rec *telemetry.Recorder, rewind func(uint64) error) {
+// applies committed writes to the endorser stores (the topology's
+// committer role), and — when the flight recorder is on — stamps the
+// block's peer-side lifecycle spans (deliver through commit, plus the
+// enclosing e2e span). Fast peers rewind their pipe on a delivery gap
+// (frames lost when wire corruption tore the connection down after the
+// sender's cursor advanced) instead of silently skipping blocks; a slow
+// DropBlocks peer skips by design.
+func (p *swPeer) commitLoop(r *run, observer bool) {
 	defer close(p.done)
+	var rewind func(uint64) error
+	if !p.slow {
+		rewind = func(seq uint64) error { return r.svc.Rewind(p.name, seq) }
+	}
 	next := p.next // 0 on a fresh peer, the recovered height after a restart
 	skipped := false
 	var badSeq uint64 // height of the last block dropped as corrupt
@@ -1658,16 +1163,14 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 		}
 		at := time.Now()
 		if observer {
-			if rec != nil {
-				p.stampBlock(rec, b, &res.Breakdown, recvAt, at)
+			if r.rec != nil {
+				p.stampBlock(r.rec, b, &res.Breakdown, recvAt, at)
 			}
-			for _, e := range endorsers {
-				if err := client.ApplyBlock(e.Store(), b, res.Flags); err != nil {
-					p.fail(err)
-					return
-				}
+			if err := r.top.ApplyBlock(b, res.Flags); err != nil {
+				p.fail(err)
+				return
 			}
-			gen.ObserveBlock(b, at)
+			r.gen.ObserveBlock(b, at)
 		}
 		p.mu.Lock()
 		p.blocks++

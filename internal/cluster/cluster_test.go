@@ -24,12 +24,13 @@ func testConfig() *config.Config {
 // while the slow peer's own backlog shows up as lag/drops, and every
 // submitted transaction gets an end-to-end latency sample.
 func TestSlowPeerIsolation(t *testing.T) {
-	res, err := Run(testConfig(), Options{
+	cfg := testConfig()
+	cfg.Delivery.Window = 4
+	res, err := Run(cfg, Options{
 		Mode:      Sequential,
 		Peers:     3,
 		SlowPeers: 1,
 		SlowDelay: 100 * time.Millisecond,
-		Window:    4,
 		Txs:       24,
 		Clients:   2,
 		Seed:      11,
@@ -174,11 +175,11 @@ func TestChurnConvergence(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4 // many small blocks, so the window moves on
 	cfg.Durability.CheckpointEvery = 3
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:       Sequential,
 		Peers:      3,
 		SlowPeers:  0,
-		Window:     4,
 		Txs:        80,
 		Rate:       900, // paced, so the kill lands mid-submission
 		Clients:    2,
@@ -241,10 +242,10 @@ func TestChurnPipelinedPath(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 4
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:    Pipelined,
 		Peers:   3,
-		Window:  4,
 		Txs:     48,
 		Rate:    900,
 		Clients: 2,

@@ -21,18 +21,18 @@ func TestChurnAcrossSegmentBoundariesWithPrune(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 3
+	cfg.Durability.SegmentBytes = 4096
+	cfg.Durability.Prune = true
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
-		Mode:         Sequential,
-		Peers:        3,
-		Window:       4,
-		Txs:          80,
-		Rate:         900,
-		Clients:      2,
-		Churn:        true,
-		ChurnAfter:   2,
-		SegmentBytes: 4096,
-		Prune:        true,
-		Seed:         47,
+		Mode:       Sequential,
+		Peers:      3,
+		Txs:        80,
+		Rate:       900,
+		Clients:    2,
+		Churn:      true,
+		ChurnAfter: 2,
+		Seed:       47,
 	}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -72,18 +72,18 @@ func TestChurnCorruptQuarantineRefetch(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 3
+	cfg.Durability.SegmentBytes = 4096
+	cfg.Delivery.Window = 4
 	dir := t.TempDir()
 	res, err := Run(cfg, Options{
 		Mode:         Sequential,
 		Peers:        3,
-		Window:       4,
 		Txs:          80,
 		Rate:         900,
 		Clients:      2,
 		Churn:        true,
 		ChurnAfter:   4, // enough commits that a segment has sealed pre-kill
 		ChurnCorrupt: true,
-		SegmentBytes: 4096,
 		Seed:         53,
 	}, dir)
 	if err != nil {
@@ -140,14 +140,14 @@ func TestSlowDiskAcrossSegmentBoundaries(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 3
+	cfg.Durability.SegmentBytes = 4096
 	res, err := Run(cfg, Options{
-		Mode:         Sequential,
-		Peers:        3,
-		Txs:          40,
-		Clients:      2,
-		Fault:        "slowdisk",
-		SegmentBytes: 4096,
-		Seed:         59,
+		Mode:    Sequential,
+		Peers:   3,
+		Txs:     40,
+		Clients: 2,
+		Fault:   "slowdisk",
+		Seed:    59,
 	}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)

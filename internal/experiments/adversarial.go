@@ -54,6 +54,7 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 	// mid-stream.
 	cfg := config.Default()
 	cfg.Durability.CheckpointEvery = 4
+	cfg.Delivery.Window = 8
 	cfg.Telemetry.Enabled = true
 	telDir := telemetryDir(dir)
 
@@ -62,7 +63,6 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		Peers:    3,
 		Txs:      160,
 		Clients:  2,
-		Window:   8,
 		Accounts: 64,
 		Seed:     47,
 		Timeout:  90 * time.Second,
@@ -153,9 +153,10 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		copts.Fault = fault
 		copts.FaultAfter = 2
 		copts.Rate = 900 // paced, so the fault lands mid-submission
+		cfg.Delivery.Window = 8
 		switch fault {
 		case chaos.FaultPartition:
-			copts.Window = 4 // force the victim past the retained window
+			cfg.Delivery.Window = 4 // force the victim past the retained window
 		case chaos.FaultSlowDisk:
 			copts.Rate = 0
 		case chaos.FaultLeaderKill:

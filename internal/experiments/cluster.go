@@ -48,6 +48,7 @@ func FigCluster(opts Options) (*metrics.Table, error) {
 	// The telemetry plane is on for this experiment: each mode writes a
 	// per-block lifecycle trace and reports its latency budget.
 	cfg.Telemetry.Enabled = true
+	cfg.Delivery.Window = 8
 	telDir := telemetryDir(dir)
 
 	copts := cluster.Options{
@@ -58,7 +59,6 @@ func FigCluster(opts Options) (*metrics.Table, error) {
 		Txs:       96,
 		Rate:      600,
 		Clients:   2,
-		Window:    8,
 		Accounts:  64,
 		Skew:      1.1,
 		Seed:      7,

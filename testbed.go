@@ -8,17 +8,14 @@ import (
 	"time"
 
 	"bmac/internal/block"
-	"bmac/internal/bmacproto"
-	"bmac/internal/chaincode"
 	"bmac/internal/client"
+	"bmac/internal/cluster"
 	"bmac/internal/delivery"
 	"bmac/internal/endorser"
 	"bmac/internal/identity"
 	"bmac/internal/orderer"
 	"bmac/internal/peer"
-	"bmac/internal/raft"
 	"bmac/internal/statedb"
-	"bmac/internal/wire"
 )
 
 // Workload generates benchmark transactions; the concrete workloads mirror
@@ -66,10 +63,7 @@ type Testbed struct {
 	BMacPeer  *peer.BMacPeer
 	Orderer   *orderer.Orderer
 
-	registry  *chaincode.Registry
-	cluster   *raft.Cluster
-	sender    *bmacproto.Sender
-	clients   []*client.Driver
+	top       *cluster.Topology
 	delivery  *delivery.Service
 	outcomes  chan BlockOutcome
 	stop      chan struct{}
@@ -79,38 +73,37 @@ type Testbed struct {
 
 // NewTestbed builds and starts a network from cfg. Ledgers are created
 // under dir. Close the testbed to release resources.
-func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
+func NewTestbed(cfg *Config, dir string) (tb *Testbed, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Hot-path marshal pooling is a process-wide switch; apply the config's
-	// choice before any block is built or delivered.
-	wire.SetBufferPooling(!cfg.Hotpath.NoMarshalPool)
-	net, err := cfg.BuildNetwork()
+	// The network: endorsers, a single-node Raft ordering service as in
+	// the paper's setup, and the BMac peer behind the protocol path.
+	top, err := cluster.NewTopology(cfg, cluster.TopologyOptions{
+		RaftNodes:    1,
+		BatchTimeout: 50 * time.Millisecond,
+		BMacDir:      filepath.Join(dir, "bmac_peer"),
+	})
 	if err != nil {
 		return nil, err
 	}
-	tb := &Testbed{
-		Config:   cfg,
-		Network:  net,
-		registry: chaincode.NewRegistry(chaincode.Smallbank{}, chaincode.DRM{}, chaincode.SplitPay{}),
-		outcomes: make(chan BlockOutcome, 256),
-		stop:     make(chan struct{}),
+	tb = &Testbed{
+		Config:    cfg,
+		Network:   top.Net,
+		Endorsers: top.Endorsers,
+		BMacPeer:  top.BMacPeer,
+		Orderer:   top.Orderer,
+		top:       top,
+		delivery:  delivery.NewService(delivery.Options{Window: cfg.Delivery.Window}),
+		outcomes:  make(chan BlockOutcome, 256),
+		stop:      make(chan struct{}),
 	}
-
-	// Endorser peers: the first `Endorsers` peers of each org.
-	for _, org := range cfg.Orgs {
-		for i := 0; i < org.Endorsers; i++ {
-			id, err := net.LookupByName(fmt.Sprintf("peer%d.%s", i, org.Name))
-			if err != nil {
-				return nil, err
-			}
-			tb.Endorsers = append(tb.Endorsers, endorser.New(id, statedb.NewStore(), tb.registry))
+	defer func() {
+		if err != nil {
+			tb.Close() // bmaclint:allow errdiscard (error path: the build error is the one to report)
+			tb = nil
 		}
-	}
-	if len(tb.Endorsers) == 0 {
-		return nil, errors.New("bmac: configuration declares no endorser peers")
-	}
+	}()
 
 	// Validator peers, durable per the config: reopening a testbed
 	// directory replays each peer's ledger (on top of its checkpoints) so
@@ -121,68 +114,34 @@ func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
 	}
 	valCfg, err := cfg.ValidatorConfig(4)
 	if err != nil {
-		return nil, err
+		return tb, err
 	}
-	tb.SWPeer, err = peer.NewDurableSWPeer(valCfg, statedb.NewStore(), filepath.Join(dir, "sw_validator"), dopts)
-	if err != nil {
-		return nil, err
+	if tb.SWPeer, err = peer.NewDurableSWPeer(valCfg, statedb.NewStore(), filepath.Join(dir, "sw_validator"), dopts); err != nil {
+		return tb, err
 	}
 	pipeCfg, err := cfg.PipelineConfig()
 	if err != nil {
-		return nil, err
+		return tb, err
 	}
 	// The parallel peer runs over the configured statedb backend (memory,
 	// hybrid hardware/host, or sharded); the sequential peer stays on the
 	// plain store, so every block is also a cross-backend differential check.
 	parKVS, err := cfg.NewKVS()
 	if err != nil {
-		return nil, err
+		return tb, err
 	}
-	tb.ParPeer, err = peer.NewDurableParallelPeer(pipeCfg, parKVS, filepath.Join(dir, "par_validator"), dopts)
-	if err != nil {
-		return nil, err
+	if tb.ParPeer, err = peer.NewDurableParallelPeer(pipeCfg, parKVS, filepath.Join(dir, "par_validator"), dopts); err != nil {
+		return tb, err
 	}
-	coreCfg, err := cfg.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
-	tb.BMacPeer, err = peer.NewBMacPeer(coreCfg, cfg.Arch.DBCapacity, filepath.Join(dir, "bmac_peer"))
-	if err != nil {
-		return nil, err
-	}
-
-	// BMac protocol path (orderer -> BMac peer).
-	link := bmacproto.NewMemLink(tb.BMacPeer.Receiver)
-	tb.sender = bmacproto.NewSender(identity.NewCache(), link)
-	if err := tb.sender.RegisterNetwork(net); err != nil {
-		return nil, err
-	}
-
-	// Ordering service: single-node Raft, as in the paper's setup.
-	tb.cluster = raft.NewCluster(1, 20*time.Millisecond)
-	if tb.cluster.WaitForLeader(5*time.Second) == nil {
-		return nil, errors.New("bmac: raft leader election timed out")
-	}
-	ordID, err := net.LookupByName("orderer0." + cfg.Orgs[0].Name)
-	if err != nil {
-		return nil, fmt.Errorf("bmac: first org needs an orderer: %w", err)
-	}
-	tb.Orderer = orderer.New(orderer.Config{
-		BatchSize:    cfg.Arch.MaxBlockTxs,
-		BatchTimeout: 50 * time.Millisecond,
-		Channel:      cfg.Channel,
-	}, ordID, tb.cluster.Nodes[0])
-
 	// Blocks flow through the delivery service: the orderer appends to
 	// the retained window and any registered network peer rides its own
 	// non-blocking pipe. The three-way cross-check itself must see every
 	// block, so its pipe uses the Wait policy: once the cross-check falls
 	// a full window behind, Publish (and through raft's bounded apply
 	// channel, Submit) self-throttles instead of overrunning it.
-	tb.delivery = delivery.NewService(delivery.Options{Window: cfg.Delivery.Window})
 	if err := tb.delivery.Register("crosscheck", delivery.Func(tb.deliver),
 		delivery.PeerOptions{Policy: delivery.Wait}); err != nil {
-		return nil, err
+		return tb, err
 	}
 	tb.Orderer.OnDeliver(tb.delivery.Publish)
 	return tb, nil
@@ -196,40 +155,37 @@ func (tb *Testbed) Delivery() *delivery.Service { return tb.delivery }
 // the two software peers, then the three-way cross-check and committer
 // updates.
 func (tb *Testbed) deliver(b *block.Block) error {
-	if _, err := tb.sender.SendBlock(b); err != nil {
+	if _, err := tb.top.Sender.SendBlock(b); err != nil {
 		return err
 	}
 	// The two software peers are independent (own stores, own ledgers):
 	// validate concurrently so delivery pays max(sw, par), not the sum.
 	// Both read the same decoded block; neither writes it.
-	type parOut struct {
-		res peer.CommitResult
-		err error
-	}
-	parCh := make(chan parOut, 1)
+	var (
+		parRes peer.CommitResult
+		parErr error
+	)
+	parDone := make(chan struct{})
 	go func() {
-		res, err := tb.ParPeer.CommitBlock(b)
-		parCh <- parOut{res, err}
+		parRes, parErr = tb.ParPeer.CommitBlock(b)
+		close(parDone)
 	}()
 	swRes, err := tb.SWPeer.CommitBlock(b)
-	par := <-parCh
+	<-parDone
 	if err != nil {
 		return err
 	}
-	if par.err != nil {
-		return par.err
+	if parErr != nil {
+		return parErr
 	}
-	parRes := par.res
 	hwRes, ok := <-tb.BMacPeer.Results()
 	if !ok {
 		return errors.New("bmac: hardware peer stopped")
 	}
 	// Committer role: endorser stores track the committed state so later
 	// simulations read fresh versions.
-	for _, e := range tb.Endorsers {
-		if err := client.ApplyBlock(e.Store(), b, swRes.Flags); err != nil {
-			return err
-		}
+	if err := tb.top.ApplyBlock(b, swRes.Flags); err != nil {
+		return err
 	}
 	outcome := BlockOutcome{
 		BlockNum: b.Header.Number,
@@ -261,27 +217,13 @@ func (tb *Testbed) Outcomes() <-chan BlockOutcome { return tb.outcomes }
 // NewClient creates a workload driver whose transactions are endorsed by
 // every endorser peer and submitted to the ordering service.
 func (tb *Testbed) NewClient(w Workload, seed int64) (*client.Driver, error) {
-	clientOrg := tb.Config.Orgs[0].Name
-	id, err := tb.Network.LookupByName("client0." + clientOrg)
-	if err != nil {
-		return nil, fmt.Errorf("bmac: first org needs a client: %w", err)
-	}
-	d := client.NewDriver(id, tb.Endorsers, tb.Orderer, w, tb.Config.Channel, seed)
-	tb.clients = append(tb.clients, d)
-	return d, nil
+	return tb.top.NewDriver(w, tb.Orderer, seed)
 }
 
 // Bootstrap seeds the genesis state for a workload in every store:
 // endorsers, both software peers and the BMac peer's in-hardware database.
 func (tb *Testbed) Bootstrap(w Workload) error {
-	stores := []statedb.KVS{tb.SWPeer.Store(), tb.ParPeer.Store()}
-	for _, e := range tb.Endorsers {
-		stores = append(stores, e.Store())
-	}
-	if err := client.Bootstrap(w, tb.registry, stores...); err != nil {
-		return err
-	}
-	return client.BootstrapHardware(w, tb.registry, tb.SWPeer.Store(), tb.BMacPeer.Proc.DB())
+	return tb.top.Bootstrap(w, tb.SWPeer.Store(), tb.ParPeer.Store())
 }
 
 // ParallelBackendSummary describes the parallel peer's state-database
@@ -327,26 +269,26 @@ func (tb *Testbed) Close() error {
 	tb.closeOnce.Do(func() {
 		close(tb.stop)
 		firstErr := tb.Orderer.Stop()
-		if err := tb.delivery.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		// Surface dead delivery pipes, but not the cross-check pipe's
-		// own shutdown sentinel; filter per peer — errors.Is on the
-		// joined error would discard every real failure alongside it.
-		for _, st := range tb.delivery.Stats() {
-			if st.Err != nil && !errors.Is(st.Err, errTestbedClosed) && firstErr == nil {
-				firstErr = fmt.Errorf("delivery to %s: %w", st.Name, st.Err)
+		keep := func(err error) {
+			if firstErr == nil {
+				firstErr = err
 			}
 		}
-		tb.cluster.Stop()
-		if err := tb.BMacPeer.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		keep(tb.delivery.Close())
+		// Surface dead delivery pipes, but not the cross-check pipe's own
+		// shutdown sentinel; filter per peer — errors.Is on the joined error
+		// would discard every real failure alongside it.
+		for _, st := range tb.delivery.Stats() {
+			if st.Err != nil && !errors.Is(st.Err, errTestbedClosed) {
+				keep(fmt.Errorf("delivery to %s: %w", st.Name, st.Err))
+			}
 		}
-		if err := tb.ParPeer.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		keep(tb.top.Close())
+		if tb.ParPeer != nil { // nil when NewTestbed failed before opening it
+			keep(tb.ParPeer.Close())
 		}
-		if err := tb.SWPeer.Close(); err != nil && firstErr == nil {
-			firstErr = err
+		if tb.SWPeer != nil {
+			keep(tb.SWPeer.Close())
 		}
 		tb.closeErr = firstErr
 	})
