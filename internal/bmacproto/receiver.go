@@ -1,7 +1,6 @@
 package bmacproto
 
 import (
-	"crypto/ecdsa"
 	"fmt"
 	"sync"
 
@@ -15,7 +14,7 @@ import (
 // ecdsa_engine instance (paper §3.3).
 type VerifyRequest struct {
 	Parts  fabcrypto.SignatureParts
-	Pub    *ecdsa.PublicKey
+	Pub    *fabcrypto.Key
 	Digest [fabcrypto.HashSize]byte
 	// Malformed is set when the request could not be constructed (bad DER,
 	// unknown identity); the engine rejects it without computing.
@@ -27,7 +26,7 @@ func (v *VerifyRequest) Execute() bool {
 	if v.Malformed || v.Pub == nil {
 		return false
 	}
-	return fabcrypto.VerifyParts(v.Pub, v.Digest[:], v.Parts)
+	return v.Pub.VerifyParts(v.Digest[:], v.Parts)
 }
 
 // BlockEntry is one element of block_fifo.
@@ -291,7 +290,7 @@ func (r *Receiver) makeVerifyRequest(derSig, cert, msg []byte) VerifyRequest {
 			req.Malformed = true
 			return req
 		}
-		req.Pub = pub
+		req.Pub = fabcrypto.NewKey(pub)
 	}
 	req.Digest = fabcrypto.Hash(msg)
 	return req

@@ -258,14 +258,17 @@ func (p *Processor) validateBlock(vb verifiedBlock) Result {
 	jobs := make(chan txJob)
 	results := make(chan txResult)
 
-	// tx_validator instances.
-	var validators sync.WaitGroup
+	// tx_validator instances, each with its tx_vscc's E ecdsa_engines
+	// running for the whole block.
+	var validators, engines sync.WaitGroup
 	for i := 0; i < p.cfg.TxValidators; i++ {
+		vscc := newVSCCEngines(p.cfg.VSCCEngines, &engines)
 		validators.Add(1)
 		go func() {
 			defer validators.Done()
+			defer close(vscc.checks)
 			for job := range jobs {
-				results <- p.runTxValidator(job)
+				results <- p.runTxValidator(job, vscc)
 			}
 		}()
 	}
@@ -333,6 +336,7 @@ func (p *Processor) validateBlock(vb verifiedBlock) Result {
 	}
 	close(jobs)
 	validators.Wait()
+	engines.Wait()
 	close(results)
 	<-collectorDone
 
@@ -340,8 +344,52 @@ func (p *Processor) validateBlock(vb verifiedBlock) Result {
 	return res
 }
 
+// vsccEngines is one tx_vscc's E ecdsa_engine goroutines. The
+// ends_scheduler hands them one batch of at most E endorsement checks at a
+// time and waits for the batch's verdicts.
+type vsccEngines struct {
+	checks   chan engineCheck
+	verdicts []bool
+	batch    sync.WaitGroup
+}
+
+// engineCheck is one endorsement verification issued to an ecdsa_engine.
+type engineCheck struct {
+	req *bmacproto.VerifyRequest
+	out *bool
+}
+
+// newVSCCEngines starts n engines, which exit (and mark running done) once
+// checks is closed.
+func newVSCCEngines(n int, running *sync.WaitGroup) *vsccEngines {
+	e := &vsccEngines{checks: make(chan engineCheck), verdicts: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			for c := range e.checks {
+				*c.out = c.req.Execute()
+				e.batch.Done()
+			}
+		}()
+	}
+	return e
+}
+
+// verify runs a batch of at most E checks in parallel, one per engine; the
+// returned verdicts are valid until the next call.
+func (e *vsccEngines) verify(batch []bmacproto.EndsEntry) []bool {
+	verdicts := e.verdicts[:len(batch)]
+	e.batch.Add(len(batch))
+	for i := range batch {
+		e.checks <- engineCheck{req: &batch[i].Verify, out: &verdicts[i]}
+	}
+	e.batch.Wait()
+	return verdicts
+}
+
 // runTxValidator is one tx_validator instance: tx_verify then tx_vscc.
-func (p *Processor) runTxValidator(job txJob) txResult {
+func (p *Processor) runTxValidator(job txJob, vscc *vsccEngines) txResult {
 	out := txResult{seq: job.entry.Seq, reads: job.reads, writes: job.writes}
 
 	// tx_verify: skip when the block is already invalid (early abort).
@@ -394,17 +442,7 @@ func (p *Processor) runTxValidator(job txJob) txResult {
 		// Issue a batch of up to VSCCEngines verifications in parallel —
 		// the ends_scheduler keeping all engine instances busy.
 		batch := job.ends[idx:min(idx+p.cfg.VSCCEngines, len(job.ends))]
-		verdicts := make([]bool, len(batch))
-		var wg sync.WaitGroup
-		for i := range batch {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				verdicts[i] = batch[i].Verify.Execute()
-			}(i)
-		}
-		wg.Wait()
-		for i, v := range verdicts {
+		for i, v := range vscc.verify(batch) {
 			out.endsVerified++
 			out.engineInvokes++
 			if v {

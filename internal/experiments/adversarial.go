@@ -12,6 +12,9 @@ import (
 	"bmac/internal/metrics"
 )
 
+// floodGateRounds is how many baseline/flood pairs the goodput gate runs.
+const floodGateRounds = 3
+
 // validTPS is the honest-goodput figure the adversarial gate compares:
 // validated transactions per second up to the moment every honest
 // submission had committed. Hostile flag-invalidated traffic never counts
@@ -30,9 +33,10 @@ func validTPS(res *cluster.Result) float64 {
 //   - baseline: honest load only, establishing the valid-tx TPS floor;
 //   - flood: 50% of all traffic is adversarial (invalid signatures,
 //     garbage envelopes, forged endorsements, replayed double-spends).
-//     Valid-tx TPS must stay >= 70% of the baseline — the cheapness of
+//     Valid-tx TPS must stay >= 70% of the baseline (best of
+//     floodGateRounds alternating runs each) — the cheapness of
 //     rejection rests on fabcrypto.SigCache caching verification
-//     failures, so the run must also show signature-cache hits;
+//     failures, so every flood run must also show signature-cache hits;
 //   - each chaos fault (partition, corruption, slowdisk, leaderkill)
 //     under a milder 20% adversary: the fast peers must still end
 //     bit-identical (converged), with the p99 commit latency reported.
@@ -108,19 +112,33 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		return res, nil
 	}
 
-	// Gate 1: honest-goodput floor under a 50% hostile flood.
-	baseline, err := run("baseline", base)
-	if err != nil {
-		return tbl, err
-	}
+	// Gate 1: honest-goodput floor under a 50% hostile flood. Baseline and
+	// flood runs alternate round by round, each mode keeping its best
+	// valid-tx TPS, so load drift on a shared machine hits both modes
+	// alike instead of deciding the ratio.
 	flood := base
 	flood.Adversary = 0.5
-	floodRes, err := run("flood", flood)
-	if err != nil {
-		return tbl, err
-	}
-	if floodRes.Adversary == nil || floodRes.Adversary.Injected.Total() == 0 {
-		return tbl, fmt.Errorf("adversarial flood: nothing injected")
+	var baseTPS, floodTPS float64
+	for r := 1; r <= floodGateRounds; r++ {
+		baseline, err := run(fmt.Sprintf("baseline-r%d", r), base)
+		if err != nil {
+			return tbl, err
+		}
+		baseTPS = max(baseTPS, validTPS(baseline))
+		floodRes, err := run(fmt.Sprintf("flood-r%d", r), flood)
+		if err != nil {
+			return tbl, err
+		}
+		if floodRes.Adversary == nil || floodRes.Adversary.Injected.Total() == 0 {
+			return tbl, fmt.Errorf("adversarial flood: nothing injected")
+		}
+		// The flood stays cheap because rejection is O(lookup): the pooled
+		// hostile corpora must be hitting the signature cache's failure
+		// entries, not re-running curve math per replayed envelope.
+		if floodRes.SigCacheHitRate == 0 {
+			return tbl, fmt.Errorf("adversarial flood: no signature-cache hits — failure caching is not absorbing the flood")
+		}
+		floodTPS = max(floodTPS, validTPS(floodRes))
 	}
 	// The 70% floor is a performance gate. Under the race detector the
 	// instrumentation multiplies validation cost, which skews the
@@ -131,16 +149,9 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 	if raceEnabled {
 		factor = 0.4
 	}
-	floor := factor * validTPS(baseline)
-	if got := validTPS(floodRes); got < floor {
+	if floodTPS < factor*baseTPS {
 		return tbl, fmt.Errorf("adversarial flood: valid-tx TPS %.0f under 50%% hostile load, want >= %.0f%% of baseline %.0f",
-			got, factor*100, validTPS(baseline))
-	}
-	// The flood stays cheap because rejection is O(lookup): the pooled
-	// hostile corpora must be hitting the signature cache's failure
-	// entries, not re-running curve math per replayed envelope.
-	if floodRes.SigCacheHitRate == 0 {
-		return tbl, fmt.Errorf("adversarial flood: no signature-cache hits — failure caching is not absorbing the flood")
+			floodTPS, factor*100, baseTPS)
 	}
 
 	// Gate 2: every chaos fault converges bit-identically under a mild

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/ecdsa"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -50,12 +49,25 @@ type HotpathDerived struct {
 	MarshalAllocsReductionX float64 `json:"marshal_allocs_reduction_x"`
 	// ParseCachedSpeedupX is cold ParseTx ns/op over interned ns/op.
 	ParseCachedSpeedupX float64 `json:"parse_cached_speedup_x"`
+	// VerifyTableSpeedupX is stdlib verification ns/op over the
+	// precomputed-table verification ns/op for the same signature.
+	VerifyTableSpeedupX float64 `json:"verify_table_speedup_x"`
+}
+
+// HotpathEnv records where a HotpathRecord was measured: wall times only
+// compare between records with the same environment.
+type HotpathEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 // HotpathRecord is the machine-readable result of the hotpath suite.
 type HotpathRecord struct {
 	Schema     string                  `json:"schema"`
-	CPUs       int                     `json:"cpus"`
+	Env        HotpathEnv              `json:"env"`
 	Quick      bool                    `json:"quick"`
 	Benchmarks map[string]HotpathBench `json:"benchmarks"`
 	Derived    HotpathDerived          `json:"derived"`
@@ -80,9 +92,9 @@ func measureOp(iters int, f func()) HotpathBench {
 	}
 }
 
-// verifyTuple is one (pub, digest, sig) check extracted from a block.
+// verifyTuple is one (key, digest, sig) check extracted from a block.
 type verifyTuple struct {
-	pub    *ecdsa.PublicKey
+	pub    *fabcrypto.Key
 	digest []byte
 	sig    []byte
 }
@@ -99,7 +111,7 @@ func endorserTuples(env *block.Envelope) ([]verifyTuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, verifyTuple{pub: cpub, digest: fabcrypto.HashSlice(env.PayloadBytes), sig: env.Signature})
+	out = append(out, verifyTuple{pub: fabcrypto.NewKey(cpub), digest: fabcrypto.HashSlice(env.PayloadBytes), sig: env.Signature})
 	for i := range pt.Tx.Payload.Action.Endorsements {
 		e := &pt.Tx.Payload.Action.Endorsements[i]
 		epub, err := fabcrypto.PublicKeyFromCert(e.Endorser)
@@ -107,7 +119,7 @@ func endorserTuples(env *block.Envelope) ([]verifyTuple, error) {
 			return nil, err
 		}
 		msg := block.EndorsementSigningBytes(pt.PRP, e.Endorser)
-		out = append(out, verifyTuple{pub: epub, digest: fabcrypto.HashSlice(msg), sig: e.Signature})
+		out = append(out, verifyTuple{pub: fabcrypto.NewKey(epub), digest: fabcrypto.HashSlice(msg), sig: e.Signature})
 	}
 	return out, nil
 }
@@ -120,8 +132,14 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		valIters, opIters = 10, 100
 	}
 	rec := &HotpathRecord{
-		Schema:     "bmac-hotpath/1",
-		CPUs:       runtime.GOMAXPROCS(0),
+		Schema: "bmac-hotpath/1",
+		Env: HotpathEnv{
+			GoVersion:  runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+		},
 		Quick:      o.Quick,
 		Benchmarks: map[string]HotpathBench{},
 	}
@@ -200,7 +218,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	verIters := valIters * 4
 	cold := measureOp(verIters, func() {
 		for _, t := range tuples {
-			if err := fabcrypto.VerifyDigest(t.pub, t.digest, t.sig); err != nil && benchErr == nil {
+			if err := fabcrypto.VerifyDigest(t.pub.Public(), t.digest, t.sig); err != nil && benchErr == nil {
 				benchErr = err
 			}
 		}
@@ -221,6 +239,31 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	cached.HitRate = vsc.HitRate()
 	rec.Benchmarks["repeated_endorser_verify_cached"] = cached
 
+	// --- One cache-missing verification: stdlib vs the key's precomputed
+	// table, plus the one-off table build a Key pays at its threshold. ---
+	one := tuples[0]
+	stdlib := measureOp(verIters, func() {
+		if err := fabcrypto.VerifyDigest(one.pub.Public(), one.digest, one.sig); err != nil && benchErr == nil {
+			benchErr = err
+		}
+	})
+	rec.Benchmarks["verify_stdlib"] = stdlib
+	hot := fabcrypto.NewKey(one.pub.Public())
+	if !hot.Precompute() {
+		return nil, fmt.Errorf("hotpath: table build rejected a certificate key")
+	}
+	table := measureOp(verIters, func() {
+		if err := hot.VerifyDigest(one.digest, one.sig); err != nil && benchErr == nil {
+			benchErr = err
+		}
+	})
+	rec.Benchmarks["verify_table"] = table
+	rec.Benchmarks["key_table_build"] = measureOp(valIters, func() {
+		if !fabcrypto.NewKey(one.pub.Public()).Precompute() && benchErr == nil {
+			benchErr = fmt.Errorf("hotpath: table build rejected a certificate key")
+		}
+	})
+
 	// --- Batch verify sweep: endorsement count x worker count. ---
 	for _, endorse := range []int{2, 4} {
 		eb, err := e.MakeBlock(BlockSpec{Txs: 1, Endorsements: endorse, Reads: 1, Writes: 1})
@@ -231,8 +274,10 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The keys are hot, as cert-cache keys are after a few blocks.
 		reqs := make([]fabcrypto.VerifyRequest, len(ets))
 		for i, t := range ets {
+			t.pub.Precompute()
 			reqs[i] = fabcrypto.VerifyRequest{Pub: t.pub, Digest: t.digest, Sig: t.sig}
 		}
 		for _, workers := range []int{1, 2, 4} {
@@ -259,9 +304,9 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		}
 	})
 	ccc := fabcrypto.NewCertCache(64)
-	ccc.PublicKeyFromCert(creatorDER) // bmaclint:allow errdiscard (warm-up: measured loop below checks errors)
+	ccc.KeyFromCert(creatorDER) // bmaclint:allow errdiscard (warm-up: measured loop below checks errors)
 	cb := measureOp(opIters, func() {
-		if _, err := ccc.PublicKeyFromCert(creatorDER); err != nil && benchErr == nil {
+		if _, err := ccc.KeyFromCert(creatorDER); err != nil && benchErr == nil {
 			benchErr = err
 		}
 	})
@@ -311,6 +356,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	d.MarshalAllocsReductionX = rec.Benchmarks["marshal_block"].AllocsPerOp /
 		clamp(rec.Benchmarks["marshal_block_pooled"].AllocsPerOp)
 	d.ParseCachedSpeedupX = rec.Benchmarks["parse_tx_cold"].NsPerOp / clamp(pb.NsPerOp)
+	d.VerifyTableSpeedupX = stdlib.NsPerOp / clamp(table.NsPerOp)
 	return rec, nil
 }
 
@@ -319,6 +365,7 @@ var hotpathBenchOrder = []string{
 	"block_validate_baseline", "block_validate_hotpath",
 	"block_validate_telemetry_off", "block_validate_telemetry_on",
 	"repeated_endorser_verify_cold", "repeated_endorser_verify_cached",
+	"verify_stdlib", "verify_table", "key_table_build",
 	"batch_verify_e2_w1", "batch_verify_e2_w2", "batch_verify_e2_w4",
 	"batch_verify_e4_w1", "batch_verify_e4_w2", "batch_verify_e4_w4",
 	"cert_parse_cold", "cert_parse_cached",
@@ -345,6 +392,8 @@ func (r *HotpathRecord) Table() *metrics.Table {
 		fmt.Sprintf("%.1fx", r.Derived.BlockValidateAllocsReductionX), "", "")
 	t.AddRow("derived: verify cached speedup",
 		fmt.Sprintf("%.1fx", r.Derived.VerifyCachedSpeedupX), "", "")
+	t.AddRow("derived: verify table speedup",
+		fmt.Sprintf("%.1fx", r.Derived.VerifyTableSpeedupX), "", "")
 	t.AddRow("derived: parse cached speedup",
 		fmt.Sprintf("%.1fx", r.Derived.ParseCachedSpeedupX), "", "")
 	t.AddRow("derived: marshal allocs reduction",

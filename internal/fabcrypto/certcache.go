@@ -16,7 +16,8 @@ import (
 // identity certificates (creator, endorsers, orderer) recurs in every
 // transaction of every block — the same observation that makes Fabric's MSP
 // cache deserialized identities. A hit costs one fast hash + lookup and
-// returns the interned *x509.Certificate and its ECDSA public key.
+// returns the interned *x509.Certificate and its ECDSA Key, which owns that
+// identity's precomputed verification table once it is hot.
 //
 // Lookups are keyed by a seeded 64-bit maphash of the DER bytes and
 // VERIFIED by byte comparison against the stored DER before a hit is
@@ -43,7 +44,7 @@ type certEntry struct {
 	key  uint64
 	der  []byte // private copy of the certificate DER
 	cert *x509.Certificate
-	pub  *ecdsa.PublicKey
+	pub  *Key // nil unless the certificate carries an ECDSA key
 	err  error
 }
 
@@ -100,7 +101,7 @@ func (c *CertCache) lookup(der []byte) *certEntry {
 	e.cert, e.err = ParseCertificate(der)
 	if e.err == nil {
 		if pub, ok := e.cert.PublicKey.(*ecdsa.PublicKey); ok {
-			e.pub = pub
+			e.pub = NewKey(pub)
 		}
 	}
 
@@ -128,12 +129,17 @@ func (c *CertCache) ParseCertificate(der []byte) (*x509.Certificate, error) {
 	return e.cert, e.err
 }
 
-// PublicKeyFromCert returns the interned ECDSA public key of a DER
-// certificate, mirroring the package-level PublicKeyFromCert (including
-// its error for non-ECDSA keys). A nil receiver parses directly.
-func (c *CertCache) PublicKeyFromCert(der []byte) (*ecdsa.PublicKey, error) {
+// KeyFromCert returns the interned Key of a DER certificate, with the
+// errors of the package-level PublicKeyFromCert (including the one for
+// non-ECDSA keys). A nil receiver parses directly and returns a fresh Key,
+// which never lives long enough to earn a table.
+func (c *CertCache) KeyFromCert(der []byte) (*Key, error) {
 	if c == nil {
-		return PublicKeyFromCert(der)
+		pub, err := PublicKeyFromCert(der)
+		if err != nil {
+			return nil, err
+		}
+		return NewKey(pub), nil
 	}
 	e := c.lookup(der)
 	if e.err != nil {

@@ -28,11 +28,11 @@ func TestCertCacheHitMissAndVerdicts(t *testing.T) {
 	c := NewCertCache(64)
 	der := makeCertDER(t, "peer0.org1")
 
-	pub1, err := c.PublicKeyFromCert(der)
+	pub1, err := c.KeyFromCert(der)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub2, err := c.PublicKeyFromCert(der)
+	pub2, err := c.KeyFromCert(der)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCertCacheHitMissAndVerdicts(t *testing.T) {
 func TestCertCacheNilDisabled(t *testing.T) {
 	var c *CertCache
 	der := makeCertDER(t, "peer1.org1")
-	if _, err := c.PublicKeyFromCert(der); err != nil {
+	if _, err := c.KeyFromCert(der); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ParseCertificate(der); err != nil {
@@ -85,7 +85,7 @@ func TestCertCacheDoesNotAliasInput(t *testing.T) {
 	c := NewCertCache(64)
 	der := makeCertDER(t, "peer2.org1")
 	buf := append([]byte(nil), der...)
-	if _, err := c.PublicKeyFromCert(buf); err != nil {
+	if _, err := c.KeyFromCert(buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := range buf {
@@ -114,7 +114,7 @@ func TestCertCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < 40; it++ {
-				if _, err := c.PublicKeyFromCert(ders[(g+it)%len(ders)]); err != nil {
+				if _, err := c.KeyFromCert(ders[(g+it)%len(ders)]); err != nil {
 					t.Errorf("valid cert rejected: %v", err)
 					return
 				}

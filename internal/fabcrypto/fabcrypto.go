@@ -198,18 +198,6 @@ func PartsToDER(parts SignatureParts) ([]byte, error) {
 	return MarshalDERSignature(r, s)
 }
 
-// VerifyParts verifies a signature given in hardware (r, s) representation.
-// This is the exact operation one ecdsa_engine instance performs on a
-// {signature, key, data hash} verification request tuple.
-func VerifyParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
-	r := new(big.Int).SetBytes(parts.R[:])
-	s := new(big.Int).SetBytes(parts.S[:])
-	if r.Sign() <= 0 || s.Sign() <= 0 {
-		return false
-	}
-	return ecdsa.Verify(pub, digest, r, s)
-}
-
 // CertTemplate describes an identity certificate to issue.
 type CertTemplate struct {
 	CommonName   string

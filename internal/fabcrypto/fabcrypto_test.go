@@ -115,7 +115,7 @@ func TestDecodePartsLossless(t *testing.T) {
 		t.Error("DER -> parts -> DER is not lossless")
 	}
 	digest := Hash(msg)
-	if !VerifyParts(s.Public(), digest[:], parts) {
+	if !NewKey(s.Public()).VerifyParts(digest[:], parts) {
 		t.Error("VerifyParts rejected a valid signature")
 	}
 }
@@ -124,7 +124,7 @@ func TestVerifyPartsRejectsZero(t *testing.T) {
 	s := newTestSigner(t)
 	digest := Hash([]byte("m"))
 	var zero SignatureParts
-	if VerifyParts(s.Public(), digest[:], zero) {
+	if NewKey(s.Public()).VerifyParts(digest[:], zero) {
 		t.Error("VerifyParts accepted the zero signature")
 	}
 }

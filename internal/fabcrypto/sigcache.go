@@ -2,7 +2,6 @@ package fabcrypto
 
 import (
 	"container/list"
-	"crypto/ecdsa"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
@@ -69,13 +68,9 @@ func NewSigCache(size int) *SigCache {
 }
 
 // sigCacheKey hashes (public key, digest, signature) into the cache key.
-func sigCacheKey(pub *ecdsa.PublicKey, digest, sig []byte) [HashSize]byte {
-	var pt [1 + 2*ScalarSize]byte
-	pt[0] = 4
-	pub.X.FillBytes(pt[1 : 1+ScalarSize])
-	pub.Y.FillBytes(pt[1+ScalarSize:])
+func sigCacheKey(pub *Key, digest, sig []byte) [HashSize]byte {
 	h := sha256.New()
-	h.Write(pt[:])
+	h.Write(pub.point[:])
 	h.Write(digest)
 	h.Write(sig)
 	var key [HashSize]byte
@@ -86,12 +81,13 @@ func sigCacheKey(pub *ecdsa.PublicKey, digest, sig []byte) [HashSize]byte {
 // VerifyDigest checks a DER signature over a precomputed digest, consulting
 // the cache first. hit reports whether the verdict came from the cache (so
 // callers can attribute timing honestly: a hit is a hash + lookup, not an
-// ECDSA verification). A nil receiver always verifies directly.
+// ECDSA verification). A nil receiver always verifies directly, and so
+// does a key with no P-256 encoding to key the cache by.
 //
 // bmaclint:noalloc
-func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err error, hit bool) {
-	if c == nil {
-		return VerifyDigest(pub, digest, sig), false
+func (c *SigCache) VerifyDigest(pub *Key, digest, sig []byte) (err error, hit bool) {
+	if c == nil || !pub.pointOK {
+		return pub.VerifyDigest(digest, sig), false
 	}
 	key := sigCacheKey(pub, digest, sig)
 	sh := &c.shards[key[0]%sigCacheShards]
@@ -110,7 +106,7 @@ func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err e
 	// Verify outside the shard lock: concurrent misses on the same shard
 	// (even on the same key) may both pay the curve math, but the verdict
 	// is deterministic, so the double insert is harmless.
-	verr := VerifyDigest(pub, digest, sig)
+	verr := pub.VerifyDigest(digest, sig)
 
 	sh.mu.Lock()
 	if el, ok := sh.entries[key]; ok {
@@ -166,7 +162,7 @@ func (c *SigCache) Len() int {
 // VerifyRequest is one (public key, digest, signature) check for VerifyBatch:
 // the same tuple an ecdsa_engine instance consumes in hardware.
 type VerifyRequest struct {
-	Pub    *ecdsa.PublicKey
+	Pub    *Key
 	Digest []byte
 	Sig    []byte
 }

@@ -76,7 +76,7 @@ func BenchmarkRejectCold(b *testing.B) {
 		// pays the verification. (The signature stays invalid for any
 		// digest it was not produced over.)
 		digest := HashSlice([]byte(fmt.Sprintf("cold-%d", i)))
-		if err := VerifyDigest(s.pub, digest, s.sig); err == nil {
+		if err := VerifyDigest(s.pub.Public(), digest, s.sig); err == nil {
 			b.Fatal("corrupt signature verified")
 		}
 	}

@@ -1,7 +1,6 @@
 package fabcrypto
 
 import (
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,7 +8,7 @@ import (
 )
 
 type sigFixture struct {
-	pub    *ecdsa.PublicKey
+	pub    *Key
 	digest []byte
 	sig    []byte
 }
@@ -20,6 +19,7 @@ func makeSigs(t testing.TB, n int) []sigFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := NewKey(signer.Public())
 	out := make([]sigFixture, n)
 	for i := range out {
 		digest := HashSlice([]byte(fmt.Sprintf("msg-%d", i)))
@@ -27,7 +27,7 @@ func makeSigs(t testing.TB, n int) []sigFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = sigFixture{pub: signer.Public(), digest: digest, sig: sig}
+		out[i] = sigFixture{pub: key, digest: digest, sig: sig}
 	}
 	return out
 }
@@ -178,7 +178,7 @@ func BenchmarkVerifyDigestCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := VerifyDigest(sigs[0].pub, sigs[0].digest, sigs[0].sig); err != nil {
+		if err := VerifyDigest(sigs[0].pub.Public(), sigs[0].digest, sigs[0].sig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,13 +208,13 @@ func BenchmarkCertCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewCertCache(64)
-	if _, err := c.PublicKeyFromCert(der); err != nil {
+	if _, err := c.KeyFromCert(der); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.PublicKeyFromCert(der); err != nil {
+		if _, err := c.KeyFromCert(der); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -298,11 +298,11 @@ func (n *Network) Identities() []*Identity {
 // synchronization packets.
 type Cache struct {
 	mu       sync.RWMutex
-	certToID map[string]EncodedID           // guarded by mu
-	idToCert map[EncodedID][]byte           // guarded by mu
-	idToPub  map[EncodedID]*ecdsa.PublicKey // guarded by mu
-	misses   int                            // guarded by mu
-	hits     int                            // guarded by mu
+	certToID map[string]EncodedID         // guarded by mu
+	idToCert map[EncodedID][]byte         // guarded by mu
+	idToPub  map[EncodedID]*fabcrypto.Key // guarded by mu
+	misses   int                          // guarded by mu
+	hits     int                          // guarded by mu
 }
 
 // NewCache returns an empty identity cache.
@@ -310,7 +310,7 @@ func NewCache() *Cache {
 	return &Cache{
 		certToID: make(map[string]EncodedID),
 		idToCert: make(map[EncodedID][]byte),
-		idToPub:  make(map[EncodedID]*ecdsa.PublicKey),
+		idToPub:  make(map[EncodedID]*fabcrypto.Key),
 	}
 }
 
@@ -337,7 +337,7 @@ func (c *Cache) Put(id EncodedID, cert []byte) error {
 	defer c.mu.Unlock()
 	c.certToID[string(cert)] = id
 	c.idToCert[id] = certCopy
-	c.idToPub[id] = pub
+	c.idToPub[id] = fabcrypto.NewKey(pub)
 	return nil
 }
 
@@ -365,8 +365,10 @@ func (c *Cache) CertForID(id EncodedID) ([]byte, bool) {
 }
 
 // PublicKeyForID returns the cached public key for an encoded ID, letting
-// the hardware skip X.509 parsing on the hot path.
-func (c *Cache) PublicKeyForID(id EncodedID) (*ecdsa.PublicKey, bool) {
+// the hardware skip X.509 parsing on the hot path. The Key belongs to this
+// cache entry, so its precomputed verification table lasts as long as the
+// identity stays cached (paper §3.2: the ecdsa_engines see only known keys).
+func (c *Cache) PublicKeyForID(id EncodedID) (*fabcrypto.Key, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	pub, ok := c.idToPub[id]

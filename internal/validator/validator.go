@@ -19,7 +19,6 @@ package validator
 
 import (
 	"bytes"
-	"crypto/ecdsa"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -331,7 +330,7 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 		return errors.New("header DataHash does not match envelopes")
 	}
 	ms := &b.Metadata.Signature
-	pub, err := opts.CertCache.PublicKeyFromCert(ms.Creator)
+	pub, err := opts.CertCache.KeyFromCert(ms.Creator)
 	if err != nil {
 		return err
 	}
@@ -351,7 +350,7 @@ func timedHash(msg []byte, bd *Breakdown) []byte {
 // timedVerify routes one signature check through the cache (nil means a
 // direct verification) and attributes its cost to the matching counters: a
 // real verify lands in ECDSATime/Count, a cache hit in SigCacheHits/Time.
-func timedVerify(pub *ecdsa.PublicKey, digest, sig []byte, cache *fabcrypto.SigCache, bd *Breakdown) error {
+func timedVerify(pub *fabcrypto.Key, digest, sig []byte, cache *fabcrypto.SigCache, bd *Breakdown) error {
 	t := time.Now()
 	err, hit := cache.VerifyDigest(pub, digest, sig)
 	d := time.Since(t)
@@ -415,7 +414,7 @@ func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Polic
 		return p.Code
 	}
 	// Transaction verification: client signature over the payload.
-	pub, err := opts.CertCache.PublicKeyFromCert(p.Tx.SignatureHeader.Creator)
+	pub, err := opts.CertCache.KeyFromCert(p.Tx.SignatureHeader.Creator)
 	if err != nil {
 		return block.BadCreator
 	}
@@ -432,7 +431,7 @@ func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Polic
 	} else {
 		for i := range ends {
 			e := &ends[i]
-			epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
+			epub, err := opts.CertCache.KeyFromCert(e.Endorser)
 			if err != nil {
 				continue // unverifiable endorsement contributes nothing
 			}
@@ -464,7 +463,7 @@ func verifyEndorsementsBatch(p *ParsedTx, ends []block.Endorsement, opts VerifyO
 	srcs := make([]int, 0, len(ends)) // endorsement index per request
 	for i := range ends {
 		e := &ends[i]
-		epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
+		epub, err := opts.CertCache.KeyFromCert(e.Endorser)
 		if err != nil {
 			continue // unverifiable endorsement contributes nothing
 		}
